@@ -19,7 +19,14 @@ import os
 import sys
 
 from .errors import MismatchError, PolyseqError, SchemaError, WindowError
-from .families import FamilyParams, cheby_series_p, family_pnh_closed, family_slice_closed, hermite_exp_p
+from .families import (
+    FamilyParams,
+    cheby_series_p,
+    family_pnh_closed,
+    family_slice_closed,
+    hermite_exp_p,
+    slice_closed_size,
+)
 from .linearize import (
     connection_matrix,
     lin_tensor_direct,
@@ -30,7 +37,7 @@ from .linearize import (
     tensors_agree,
     verify_inverse_connection,
 )
-from .matrix import TruncMatrix
+from .matrix import TruncMatrix, first_below_band
 from .oracle import lin_tensor_oracle
 from .sequences import build_P_recurrence, realize_H, tau_moments
 from .serialize import (
@@ -81,12 +88,9 @@ def _progress(args, msg: str) -> None:
 def _require_orthogonal(h: TruncMatrix) -> None:
     from .errors import StructureError, ZeroAlphaError
 
-    for i in range(h.size):
-        for j in range(0, i - 1):
-            if h.rows[i][j] != 0:
-                raise StructureError(
-                    f"entry ({i},{j}) is nonzero; matrix is not tridiagonal"
-                )
+    hit = first_below_band(h, 1)
+    if hit is not None:
+        raise StructureError(f"entry ({hit[0]},{hit[1]}) is nonzero; matrix is not tridiagonal")
     for k in range(1, h.size):
         if h.rows[k][k - 1] == 0:
             raise ZeroAlphaError(k)
@@ -106,6 +110,17 @@ def _write_tensor(args, tensor: LinTensor) -> None:
             for n in range(tensor.n_max + 1):
                 for m in range(tensor.n_max + 1):
                     fh.write(f"{n},{m},{rat_to_str(tensor.slices[k][n][m])}\n")
+
+
+def _count(text: str) -> int:
+    """argparse type of the size and range flags: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -196,6 +211,8 @@ def _cmd_family(args) -> int:
     # --slice builds at its own internal size; only --pnh and --series use T
     wants_rows = args.pnh + 2 if args.pnh is not None else 2
     size = _resolve_size(args.size, wants_rows, "family")
+    if args.slice is not None:
+        _resolve_size(None, slice_closed_size(args.slice, args.n_max), "family --slice")
     payload = {}
     if args.pnh is not None:
         _progress(args, f"closed-form p_n(H), n={args.pnh}, T={size}")
@@ -254,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, spec_flag="--h-spec"):
         p.add_argument(spec_flag, required=True, help="path to an H spec JSON file")
-        p.add_argument("--size", type=int, default=None, help="override the auto window size T")
+        p.add_argument("--size", type=_count, default=None, help="override the auto window size T")
         p.add_argument("--verbose", action="store_true", help="print progress to stdout")
 
     p = sub.add_parser("build", help="emit H, A, P and moments for a spec")
@@ -264,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("linearize", help="linearization tensor for one sequence")
     add_common(p)
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_count, required=True)
     p.add_argument(
         "--method",
         choices=("direct", "recurrence", "oracle", "all"),
@@ -282,30 +299,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("connect", help="connection coefficients between two sequences")
     p.add_argument("--p-spec", required=True, help="spec of the sequence being expanded")
     p.add_argument("--u-spec", required=True, help="spec of the target basis sequence")
-    p.add_argument("--m-max", type=int, required=True)
-    p.add_argument("--mixed", type=int, default=None, metavar="N_MAX",
+    p.add_argument("--m-max", type=_count, required=True)
+    p.add_argument("--mixed", type=_count, default=None, metavar="N_MAX",
                    help="also emit the mixed tensor up to N_MAX")
     p.add_argument("--verify", action="store_true",
                    help="check the two connection directions invert each other")
-    p.add_argument("--size", type=int, default=None)
+    p.add_argument("--size", type=_count, default=None)
     p.add_argument("--verbose", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_connect)
 
     p = sub.add_parser("family", help="closed-form family objects")
     add_common(p)
-    p.add_argument("--pnh", type=int, default=None, metavar="N",
+    p.add_argument("--pnh", type=_count, default=None, metavar="N",
                    help="emit the closed-form matrix of p_N(H)")
-    p.add_argument("--slice", type=int, default=None, metavar="K",
+    p.add_argument("--slice", type=_count, default=None, metavar="K",
                    help="emit the closed-form linearization slice k=K")
-    p.add_argument("--n-max", type=int, default=6, help="square size for --slice")
+    p.add_argument("--n-max", type=_count, default=6, help="square size for --slice")
     p.add_argument("--series", action="store_true", help="emit the series form of P")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_family)
 
     p = sub.add_parser("verify", help="run the cross-method suite on a spec")
     add_common(p)
-    p.add_argument("--n-max", type=int, default=6)
+    p.add_argument("--n-max", type=_count, default=6)
     p.set_defaults(func=_cmd_verify)
 
     return parser

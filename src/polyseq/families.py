@@ -104,6 +104,11 @@ def family_pnh_closed(params: FamilyParams, n: int, size: int) -> TruncMatrix:
     return acc
 
 
+def slice_closed_size(k: int, n_max: int) -> int:
+    """Truncation size family_slice_closed works at: each Dhat/X factor costs a row."""
+    return n_max + k + 2
+
+
 def family_slice_closed(params: FamilyParams, k: int, n_max: int):
     """The k-th linearization slice, (n_max+1) square, from the closed sum.
 
@@ -117,7 +122,7 @@ def family_slice_closed(params: FamilyParams, k: int, n_max: int):
     if k < 0 or n_max < 0:
         raise FamilyError("k and n_max must be nonnegative")
     a = params.a
-    size = n_max + k + 2  # internal margin: each Dhat/X factor costs a row
+    size = slice_closed_size(k, n_max)
     if params.name == "chebyshev":
         diag = [a**i for i in range(size)]
     else:

@@ -9,11 +9,13 @@ Taking w = p_m gives the linearization coefficients
 
     d(n, m, k) = p_m(H)[n][k],       p_n * p_m = sum_k d(n,m,k) p_k,
 
-computed two independent ways here: "direct" runs the matrix recurrence
+computed two independent ways here: "direct" computes the rows of the
+matrix recurrence
 
     p_{m+1}(H) = H @ p_m(H) - sum(H[m][j] * p_j(H) for j in range(m + 1))
 
-and reads entries; "recurrence" fills a fixed-k slice scalar by scalar from
+that the slices read (rows 0..2N-m of p_m(H), columns 0..2N, sums over H's
+band only); "recurrence" fills a fixed-k slice scalar by scalar from
 
     d(n+1,m,k) = d(n,m+1,k) + (H[m][m]-H[n][n]) d(n,m,k)
                  + sum(H[m][j] d(n,j,k) for j in range(m))
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PolyseqError, PropertyViolationError, StructureError, WindowError
-from .matrix import TruncMatrix, identity, poly_of_matrix
+from .matrix import TruncMatrix, identity, lower_bandwidth, poly_of_matrix
 from .polynomial import Polynomial
 from .sequences import SequencePair, check_unit_hessenberg
 
@@ -129,21 +131,64 @@ def _validate_d_properties(slices, n_max: int) -> None:
 
 
 def lin_tensor_direct(pair: SequencePair, n_max: int) -> LinTensor:
-    """All slices k = 0..2*n_max from the matrix recurrence for p_m(H)."""
+    """All slices k = 0..2*n_max from the rows of p_m(H) that they read.
+
+    d(n,m,k) = p_m(H)[n][k] for n, m <= N = n_max.  Row i of p_{m+1}(H) is
+
+        sum(H[i][j] * row j of p_m(H))  -  sum(H[m][j] * row i of p_j(H))
+
+    with j running over H's band in the first sum (up to the unit entry at
+    j = i+1) and over j <= m in the second.  It needs rows up to i+1 of p_m,
+    so p_m(H) is computed on rows 0..2N-m only, which all lie inside the
+    exact window of a size >= required_size(n_max) truncation.  With b the
+    lower bandwidth of H, row i of p_m(H) vanishes outside columns
+    i-m*b..i+m, so every row fits in columns 0..2N and each sum visits only
+    that span.  The entries equal those of recurrence_poly_matrices(H, H, N).
+    """
     required = required_size(n_max)
     if pair.size < required:
         raise WindowError(required, pair.size, f"lin_tensor_direct(n_max={n_max})")
-    mats = recurrence_poly_matrices(pair.H, pair.H, n_max)
-    k_max = 2 * n_max
+    h = pair.H
+    check_unit_hessenberg(h)
+    band = max(lower_bandwidth(h), 0)
+    last = 2 * n_max
+    hr = h.rows
+    zero, one = Fraction(0), Fraction(1)
+    # mats[m][i] = row i of p_m(H) on columns 0..2N, for i <= 2N - m.
+    mats = [[[one if k == i else zero for k in range(last + 1)] for i in range(last + 1)]]
+    for m in range(n_max):
+        cur = mats[m]
+        hm = hr[m]
+        lower = [(j, hm[j], mats[j]) for j in range(max(0, m - band), m + 1) if hm[j]]
+        nxt = []
+        for i in range(last - m):
+            acc = list(cur[i + 1])  # H[i][i+1] = 1
+            hi_row = hr[i]
+            for j in range(max(0, i - band), i + 1):
+                c = hi_row[j]
+                if c:
+                    row = cur[j]
+                    for k in range(max(0, j - m * band), min(last, j + m) + 1):
+                        v = row[k]
+                        if v:
+                            acc[k] += c * v
+            for j, c, pj in lower:
+                row = pj[i]
+                for k in range(max(0, i - j * band), min(last, i + j) + 1):
+                    v = row[k]
+                    if v:
+                        acc[k] -= c * v
+            nxt.append(acc)
+        mats.append(nxt)
     slices = tuple(
         tuple(
-            tuple(mats[m].rows[n][k] for m in range(n_max + 1))
+            tuple(mats[m][n][k] for m in range(n_max + 1))
             for n in range(n_max + 1)
         )
-        for k in range(k_max + 1)
+        for k in range(last + 1)
     )
     _validate_d_properties(slices, n_max)
-    return LinTensor(n_max=n_max, k_max=k_max, slices=slices)
+    return LinTensor(n_max=n_max, k_max=last, slices=slices)
 
 
 def lin_tensor_recurrence(h: TruncMatrix, n_max: int, k: int) -> list:

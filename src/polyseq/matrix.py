@@ -225,8 +225,36 @@ def mat_mul(a: TruncMatrix, b: TruncMatrix) -> TruncMatrix:
                         acc += av * bv
             row[k] = acc
         out.append(row)
-    er = max(0, min(a.exact_rows, b.exact_rows + ia, t + ia))
-    return TruncMatrix(out, index=ia + ib, exact_rows=min(er, t))
+    er = product_exact_rows(a.exact_rows, ia, b.exact_rows, t)
+    return TruncMatrix(out, index=ia + ib, exact_rows=er)
+
+
+def product_exact_rows(er_a: int, index_a: int, er_b: int, size: int) -> int:
+    """Certificate of A@B for size x size factors (rule in the module docstring)."""
+    return max(0, min(er_a, er_b + index_a, size + index_a, size))
+
+
+def _row_starts(a: TruncMatrix) -> list:
+    # Column of the first nonzero entry of each row (a.size for a zero row).
+    return [next((j for j, v in enumerate(row) if v), a.size) for row in a.rows]
+
+
+def lower_bandwidth(a: TruncMatrix) -> int:
+    """Largest i - j over the nonzero entries a[i][j].
+
+    Every nonzero entry lies within this many diagonals below the main one.
+    A zero row i counts as i - size, so a block with no entry on or below
+    its diagonal (the shift X, the zero matrix) reports at most -1.
+    """
+    return max(i - j for i, j in enumerate(_row_starts(a)))
+
+
+def first_below_band(a: TruncMatrix, band: int):
+    """First nonzero entry (i, j) in row-major order with i - j > band, or None."""
+    for i, j in enumerate(_row_starts(a)):
+        if i - j > band:
+            return i, j
+    return None
 
 
 def transpose(a: TruncMatrix) -> TruncMatrix:

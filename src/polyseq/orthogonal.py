@@ -38,7 +38,7 @@ from .errors import (
     ZeroAlphaError,
 )
 from .linearize import LinTensor, required_size
-from .matrix import TruncMatrix
+from .matrix import TruncMatrix, first_below_band
 from .oracle import poly_mul
 from .sequences import (
     HSpec,
@@ -158,13 +158,12 @@ def partial_orthogonality_check(h: TruncMatrix, band: int, n_max: int):
     if band < 3:
         raise PolyseqError(f"band must be at least 3, got {band}")
     spread = band - 2
-    for i in range(h.size):
-        for j in range(0, i - spread):
-            if h.rows[i][j] != 0:
-                raise StructureError(
-                    f"entry ({i},{j}) lies below diagonal {spread}; "
-                    f"matrix is wider than band {band}"
-                )
+    hit = first_below_band(h, spread)
+    if hit is not None:
+        raise StructureError(
+            f"entry ({hit[0]},{hit[1]}) lies below diagonal {spread}; "
+            f"matrix is wider than band {band}"
+        )
     max_n = (n_max - 1) // spread if n_max >= 1 else 0
     max_deg = max_n + n_max
     required = max_deg + 2

@@ -37,8 +37,10 @@ from .errors import (
 from .families import FamilyParams, family_tridiagonal
 from .matrix import (
     TruncMatrix,
+    lower_bandwidth,
     lower_tri_inverse,
     make_operator,
+    product_exact_rows,
 )
 from .polynomial import Polynomial
 
@@ -222,21 +224,65 @@ def build_P_recurrence(h: TruncMatrix) -> SequencePair:
 
 
 def _verify_pair(pair: SequencePair) -> None:
+    # The identities A@P = I on the whole block, and A@H = X@A, H@P = P@X on
+    # the rows the product certificates leave exact, as the generic products
+    # would check them, but computed by structure: sums stop at the declared
+    # indices (A and P are lower triangular), row i of X@A is row i+1 of A,
+    # column k of P@X is column k-1 of P, and sums through H visit only its
+    # band.
+    h, a, p = pair.H, pair.A, pair.P
     t = pair.size
-    x = make_operator("X", t)
-    ident = make_operator("I", t)
-    if (pair.A @ pair.P) != ident:
-        raise PropertyViolationError("A @ P differs from the identity")
-    # Left-multiplying by X loses the last row of the window.
-    lhs, rhs = pair.A @ pair.H, x @ pair.A
-    if not lhs.equal_on_window(rhs):
-        raise PropertyViolationError("A @ H and X @ A disagree on the exact window")
-    lhs, rhs = pair.H @ pair.P, pair.P @ x
-    if not lhs.equal_on_window(rhs):
-        raise PropertyViolationError("H @ P and P @ X disagree on the exact window")
+    if a.size != t or p.size != t:
+        raise StructureError(f"size mismatch: H {t}, A {a.size}, P {p.size}")
+    hr, ar, pr = h.rows, a.rows, p.rows
+    for i in range(t):
+        acc = [0] * t  # row i of A@P
+        for j, c in enumerate(ar[i][: max(0, i - a.index + 1)]):
+            if c:
+                for k, v in enumerate(pr[j][: max(0, j - p.index + 1)]):
+                    if v:
+                        acc[k] += c * v
+        acc[i] -= 1
+        if any(acc):
+            raise PropertyViolationError("A @ P differs from the identity")
+    band = lower_bandwidth(h)
+    window = min(
+        product_exact_rows(a.exact_rows, a.index, h.exact_rows, t),
+        product_exact_rows(t, -1, a.exact_rows, t),  # X is exact with index -1
+    )
+    for i in range(window):
+        arow, shifted = ar[i], ar[i + 1]
+        for k in range(t):
+            lo = max(0, k + h.index)
+            hi = min(t - 1, i - a.index, k + band)
+            if _dot(arow, hr, k, lo, hi) != shifted[k]:
+                raise PropertyViolationError("A @ H and X @ A disagree on the exact window")
+    window = min(
+        product_exact_rows(h.exact_rows, h.index, p.exact_rows, t),
+        product_exact_rows(p.exact_rows, p.index, t, t),
+    )
+    for i in range(window):
+        hrow, prow = hr[i], pr[i]
+        for k in range(t):
+            lo = max(0, k + p.index, i - band)
+            hi = min(t - 1, i - h.index)
+            if _dot(hrow, pr, k, lo, hi) != (prow[k - 1] if k else 0):
+                raise PropertyViolationError("H @ P and P @ X disagree on the exact window")
     for k, poly in enumerate(pair.polys):
         if poly.degree != k or not poly.is_monic:
             raise PropertyViolationError(f"p_{k} is not monic of degree {k}")
+
+
+def _dot(row, rows, k, lo, hi):
+    """sum(row[j] * rows[j][k] for j in lo..hi), skipping zero factors."""
+    acc = 0
+    for j in range(lo, hi + 1):
+        v = row[j]
+        if v:
+            w = rows[j][k]
+            if w:
+                acc += v * w
+    return acc
 
 
 def build_Hhat(h: TruncMatrix) -> TruncMatrix:

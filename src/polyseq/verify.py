@@ -18,7 +18,7 @@ from .linearize import (
     required_size,
     tensors_agree,
 )
-from .matrix import make_operator
+from .matrix import lower_bandwidth, make_operator
 from .oracle import expand_in_basis, lin_tensor_oracle, poly_mul
 from .orthogonal import (
     ThreeTermRecurrence,
@@ -46,11 +46,9 @@ class CheckResult:
 
 def _tridiagonal_data(h):
     """(beta, alpha) if the truncation is tridiagonal, else None."""
+    if lower_bandwidth(h) > 1:
+        return None
     t = h.size
-    for i in range(t):
-        for j in range(0, i - 1):
-            if h.rows[i][j] != 0:
-                return None
     beta = [h.rows[k][k] for k in range(t)]
     alpha = [h.rows[k][k - 1] for k in range(1, t)]
     return beta, alpha

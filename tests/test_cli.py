@@ -228,3 +228,53 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as err:
         cli.main(["frobnicate"])
     assert err.value.code == 2
+
+
+def test_family_slice_respects_max_t(tmp_path, cheb_spec, monkeypatch):
+    # --slice K --n-max N works at size N+K+2, which must fit under the cap
+    # before any work starts.
+    monkeypatch.setenv("POLYSEQ_MAX_T", "20")
+    out = tmp_path / "fam.json"
+
+    def no_work(*args):
+        raise AssertionError("family_slice_closed ran on an oversize request")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "family_slice_closed", no_work)
+        rc = cli.main(["family", "--h-spec", cheb_spec, "--slice", "15",
+                       "--n-max", "15", "--out", str(out)])
+    assert rc == 3
+    assert not out.exists()
+    rc = cli.main(["family", "--h-spec", cheb_spec, "--slice", "9",
+                   "--n-max", "9", "--out", str(out)])
+    assert rc == 0
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["linearize", "--h-spec", "S", "--n-max", "-1"], "--n-max"),
+    (["verify", "--h-spec", "S", "--n-max", "-2"], "--n-max"),
+    (["connect", "--p-spec", "S", "--u-spec", "S", "--m-max", "-1"], "--m-max"),
+    (["connect", "--p-spec", "S", "--u-spec", "S", "--m-max", "2", "--mixed", "-1"], "--mixed"),
+    (["family", "--h-spec", "S", "--pnh", "-1"], "--pnh"),
+    (["family", "--h-spec", "S", "--slice", "-3"], "--slice"),
+    (["family", "--h-spec", "S", "--slice", "1", "--n-max", "-1"], "--n-max"),
+    (["build", "--h-spec", "S", "--size", "-4"], "--size"),
+    (["linearize", "--h-spec", "S", "--n-max", "2", "--size", "-1"], "--size"),
+])
+def test_negative_counts_are_argument_errors(tmp_path, cheb_spec, capsys, argv, flag):
+    argv = [cheb_spec if a == "S" else a for a in argv]
+    argv += ["--out", str(tmp_path / "x.json")] if argv[0] != "verify" else []
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    assert f"argument {flag}: must be at least 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["linearize", "--h-spec", "S", "--n-max", "0"],
+    ["connect", "--p-spec", "S", "--u-spec", "S", "--m-max", "0", "--mixed", "0"],
+    ["family", "--h-spec", "S", "--pnh", "0", "--slice", "0", "--n-max", "0"],
+])
+def test_zero_counts_stay_valid(tmp_path, cheb_spec, argv):
+    argv = [cheb_spec if a == "S" else a for a in argv]
+    assert cli.main(argv + ["--out", str(tmp_path / "x.json")]) == 0
