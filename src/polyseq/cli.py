@@ -8,8 +8,10 @@ Subcommands
     verify     run the full cross-method suite on a spec
 
 Exit codes: 0 success, 2 file/parse problems, 3 window or math errors,
-4 cross-method mismatch.  All outputs are canonical JSON files (or CSV slice
-files); stdout stays silent unless --verbose asks for progress.
+4 cross-method mismatch.  `connect --verify` writes its payload, with
+"inverse_check": false, before it exits 4, so the failed result can be
+inspected.  All outputs are canonical JSON files (or CSV slice files),
+replaced whole or not at all; stdout stays silent unless --verbose asks.
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ from .linearize import (
     verify_inverse_connection,
 )
 from .matrix import TruncMatrix, first_below_band
-from .oracle import lin_tensor_oracle
 from .sequences import build_P_recurrence, realize_H, tau_moments
 from .serialize import (
+    atomic_open,
     connection_to_jsonable,
     hspec_from_jsonable,
     matrix_to_jsonable,
@@ -104,8 +106,7 @@ def _write_tensor(args, tensor: LinTensor) -> None:
     if not ext:
         ext = ".csv"
     for k in range(tensor.k_max + 1):
-        path = f"{base}_k{k}{ext}"
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(f"{base}_k{k}{ext}") as fh:
             fh.write("n,m,value\n")
             for n in range(tensor.n_max + 1):
                 for m in range(tensor.n_max + 1):
@@ -150,19 +151,18 @@ def _cmd_linearize(args) -> int:
         _require_orthogonal(h)
     _progress(args, f"computing tensor n_max={args.n_max} at T={size} via {args.method}")
 
+    pair = build_P_recurrence(h) if args.method != "recurrence" else None
     tensors = {}
     if args.method in ("direct", "all"):
-        tensors["direct"] = lin_tensor_direct(build_P_recurrence(h), args.n_max)
+        tensors["direct"] = lin_tensor_direct(pair, args.n_max)
     if args.method in ("recurrence", "all"):
-        slices = tuple(
-            tuple(tuple(row) for row in lin_tensor_recurrence(h, args.n_max, k))
-            for k in range(2 * args.n_max + 1)
-        )
-        tensors["recurrence"] = LinTensor(
-            n_max=args.n_max, k_max=2 * args.n_max, slices=slices
+        tensors["recurrence"] = LinTensor.from_slices(
+            args.n_max, lambda k: lin_tensor_recurrence(h, args.n_max, k)
         )
     if args.method in ("oracle", "all"):
-        tensors["oracle"] = lin_tensor_oracle(build_P_recurrence(h), args.n_max)
+        from .crosscheck import lin_tensor_oracle
+
+        tensors["oracle"] = lin_tensor_oracle(pair, args.n_max)
 
     names = list(tensors)
     first = tensors[names[0]]
@@ -195,10 +195,9 @@ def _cmd_connect(args) -> int:
     if args.verify:
         ok, where = verify_inverse_connection(pair_p, pair_u, args.m_max)
         payload["inverse_check"] = bool(ok)
-        if not ok:
-            write_json(args.out, payload)
-            raise MismatchError(where, "inverse connection")
-    write_json(args.out, payload)
+    write_json(args.out, payload)  # written even when the check fails, for inspection
+    if not ok:
+        raise MismatchError(where, "inverse connection")
     _progress(args, f"wrote {args.out}")
     return 0
 

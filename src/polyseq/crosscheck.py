@@ -1,0 +1,190 @@
+r"""The paper's alternate routes to the library's outputs, as cross-checks.
+
+Each output has one production kernel; each route here recomputes one of
+them another way:
+
+- build_A_rows: A from row_0 = e_0, row_{j+1} = row_j @ H, against P^{-1}.
+- build_Hhat, build_P_columns: the right inverse Hhat = Xhat @ (H@Xhat)^{-1}
+  satisfies H@Hhat = I and P@Xhat = Hhat@P, which yields P column by
+  column: column 0 of -Hhat@H with its top entry set to 1, then
+  col_{k+1} = Hhat @ col_k.
+- recurrence_poly_matrices: the full matrices p_m(M).  Row n of p_m(H) is
+  d(n,m,.) (lin_tensor_direct); row 0 of p_m(K) is C[m] (connection_matrix).
+- expand_in_basis, lin_tensor_oracle: schoolbook products and
+  back-substitution in a graded monic basis; no matrix of a polynomial is
+  formed, so this route is independent of the Hessenberg machinery.
+
+Only `verify`, `linearize --method oracle|all` and the tests use these
+routes; no production module imports this one.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .errors import BasisError, StructureError, WindowError
+from .linearize import LinTensor
+from .matrix import TruncMatrix, identity, lower_tri_inverse, make_operator
+from .polynomial import Polynomial
+from .sequences import SequencePair, check_unit_hessenberg
+
+
+def build_A_rows(h: TruncMatrix) -> TruncMatrix:
+    """The unique monic triangular A with A@H = X@A, one row at a time.
+
+    row_{j+1} = row_j @ H; row j has support in columns 0..j, so the
+    truncation never loses mass and all size rows are exact.
+    """
+    check_unit_hessenberg(h)
+    t = h.size
+    rows = [[Fraction(0)] * t for _ in range(t)]
+    rows[0][0] = Fraction(1)
+    for j in range(t - 1):
+        cur = rows[j]
+        nxt = rows[j + 1]
+        for k in range(j + 2):
+            if k >= t:
+                break
+            acc = Fraction(0)
+            for i in range(max(0, k - 1), j + 1):
+                v = cur[i]
+                if v:
+                    acc += v * h.rows[i][k]
+            nxt[k] = acc
+    return TruncMatrix(rows, index=0, exact_rows=t)
+
+
+def build_Hhat(h: TruncMatrix) -> TruncMatrix:
+    """The right inverse Hhat = Xhat @ (H@Xhat)^{-1}, exact on the block.
+
+    Y = H@Xhat just shifts H's columns left; its last diagonal entry lies
+    outside the stored block but equals 1 by monic structure, so Y is
+    completed from that certificate before the (exact, triangular) inversion.
+    """
+    check_unit_hessenberg(h)
+    t = h.size
+    y = [[Fraction(0)] * t for _ in range(t)]
+    for i in range(t):
+        for k in range(t - 1):
+            y[i][k] = h.rows[i][k + 1]
+    y[t - 1][t - 1] = Fraction(1)
+    yinv = lower_tri_inverse(TruncMatrix(y, index=0, exact_rows=t))
+    return make_operator("Xhat", t) @ yinv
+
+
+def _mat_vec(m: TruncMatrix, v: list) -> list:
+    out = []
+    for i in range(m.size):
+        hi = min(m.size - 1, i - m.index)
+        acc = Fraction(0)
+        row = m.rows[i]
+        for j in range(0, hi + 1):
+            rv = row[j]
+            if rv:
+                acc += rv * v[j]
+        out.append(acc)
+    return out
+
+
+def build_P_columns(h: TruncMatrix) -> TruncMatrix:
+    """P built column-first through the right inverse.
+
+    Column 0 is column 0 of -Hhat@H with the top entry set to 1; then
+    col_{k+1} = Hhat @ col_k.  Hhat has index 1, so every column is exact.
+    """
+    t = h.size
+    hhat = build_Hhat(h)
+    hhat_h = hhat @ h
+    col = [-hhat_h.rows[i][0] for i in range(t)]
+    col[0] = Fraction(1)
+    cols = [col]
+    for _ in range(t - 1):
+        cols.append(_mat_vec(hhat, cols[-1]))
+    rows = [[cols[k][i] for k in range(t)] for i in range(t)]
+    return TruncMatrix(rows, index=0, exact_rows=t)
+
+
+def recurrence_poly_matrices(h: TruncMatrix, at: TruncMatrix, m_max: int) -> list:
+    """[p_0(M), ..., p_{m_max}(M)] where the p's obey h's recurrence and M=at.
+
+    Each multiplication by the Hessenberg argument costs one certified row,
+    so p_m(M) is exact on rows 0..size-m-1 at least.
+    """
+    if h.size != at.size:
+        raise StructureError(f"size mismatch: {h.size} vs {at.size}")
+    if m_max >= h.size:
+        raise WindowError(m_max + 2, h.size, "polynomial matrix recurrence")
+    mats = [identity(at.size)]
+    for m in range(m_max):
+        nxt = at @ mats[m]
+        hrow = h.rows[m]
+        for j in range(m + 1):
+            c = hrow[j]
+            if c:
+                nxt = nxt - mats[j].scale(c)
+        mats.append(nxt)
+    return mats
+
+
+def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:
+    """Exact product by coefficient convolution: f * g, kept as a public name."""
+    return f * g
+
+
+@dataclass(frozen=True)
+class BasisExpansion:
+    target: Polynomial
+    coeffs: tuple
+
+    def coeff(self, k: int) -> Fraction:
+        return self.coeffs[k] if k < len(self.coeffs) else Fraction(0)
+
+
+def expand_in_basis(target: Polynomial, basis) -> BasisExpansion:
+    """Coefficients of target in a graded monic basis, by back-substitution.
+
+    basis[k] must be monic of degree exactly k, and the basis must reach the
+    target's degree.  The system is unit upper triangular when read from the
+    top coefficient down, so the expansion is exact and unique; a nonzero
+    residual would mean the basis is broken and raises.
+    """
+    basis = list(basis)
+    for k, b in enumerate(basis):
+        if b.degree != k or not b.is_monic:
+            raise BasisError(f"basis element {k} is not monic of degree {k}")
+    if target.degree >= len(basis):
+        raise BasisError(
+            f"basis reaches degree {len(basis) - 1}, target has degree {target.degree}"
+        )
+    coeffs = [Fraction(0)] * len(basis)
+    residual = target
+    while not residual.is_zero:
+        d = residual.degree
+        c = residual.coeffs[d]
+        coeffs[d] = c
+        residual = residual - basis[d].scale(c)
+        if not residual.is_zero and residual.degree >= d:
+            raise BasisError(f"degree failed to drop at {d}; basis is not graded")
+    return BasisExpansion(target=target, coeffs=tuple(coeffs))
+
+
+def lin_tensor_oracle(pair: SequencePair, n_max: int) -> LinTensor:
+    """Linearization slices recomputed from raw polynomial algebra.
+
+    d(n,m,.) = expansion of polys[n] * polys[m] in the p-basis itself.
+    """
+    if pair.size <= 2 * n_max:
+        raise WindowError(2 * n_max + 1, pair.size, f"lin_tensor_oracle(n_max={n_max})")
+    width = n_max + 1
+    table = [[None] * width for _ in range(width)]
+    for n in range(width):
+        for m in range(n, width):
+            exp = expand_in_basis(
+                pair.polys[n] * pair.polys[m], pair.polys[: n + m + 1]
+            )
+            table[n][m] = exp
+    return LinTensor.from_slices(n_max, lambda k: [
+        [(table[n][m] if n <= m else table[m][n]).coeff(k) for m in range(width)]
+        for n in range(width)
+    ])

@@ -34,7 +34,9 @@ p_n * p_m in the u-basis:
 
 and row 0 of p_m(K) alone gives the connection coefficients p_m = sum_k
 C[m][k] u_k, a unit lower triangular change of basis whose two directions
-multiply to the identity.
+multiply to the identity.  Row 0 of K^j is row j of A_u (t^j in the u-basis),
+so C = P_p @ A_u, one product of unit lower triangular matrices: that is how
+C is computed here, with row 0 of p_m(K) as its test oracle.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PolyseqError, PropertyViolationError, StructureError, WindowError
-from .matrix import TruncMatrix, identity, lower_bandwidth, poly_of_matrix
+from .matrix import TruncMatrix, lower_bandwidth, poly_of_matrix
 from .polynomial import Polynomial
 from .sequences import SequencePair, check_unit_hessenberg
 
@@ -57,6 +59,12 @@ class LinTensor:
     k_max: int
     slices: tuple
 
+    @classmethod
+    def from_slices(cls, n_max: int, slice_of_k) -> "LinTensor":
+        """Stack slice_of_k(k), an (n_max+1)-square grid, for k = 0..2*n_max."""
+        slices = tuple(tuple(map(tuple, slice_of_k(k))) for k in range(2 * n_max + 1))
+        return cls(n_max=n_max, k_max=2 * n_max, slices=slices)
+
     def value(self, n: int, m: int, k: int) -> Fraction:
         if k > self.k_max:
             return Fraction(0)
@@ -69,28 +77,6 @@ def required_size(n_max: int, m_max: int = None) -> int:
     if m_max is None:
         m_max = n_max
     return n_max + m_max + 2
-
-
-def recurrence_poly_matrices(h: TruncMatrix, at: TruncMatrix, m_max: int) -> list:
-    """[p_0(M), ..., p_{m_max}(M)] where the p's obey h's recurrence and M=at.
-
-    Each multiplication by the Hessenberg argument costs one certified row,
-    so p_m(M) is exact on rows 0..size-m-1 at least.
-    """
-    if h.size != at.size:
-        raise StructureError(f"size mismatch: {h.size} vs {at.size}")
-    if m_max >= h.size:
-        raise WindowError(m_max + 2, h.size, "polynomial matrix recurrence")
-    mats = [identity(at.size)]
-    for m in range(m_max):
-        nxt = at @ mats[m]
-        hrow = h.rows[m]
-        for j in range(m + 1):
-            c = hrow[j]
-            if c:
-                nxt = nxt - mats[j].scale(c)
-        mats.append(nxt)
-    return mats
 
 
 def linearize_with_w(pair: SequencePair, w: Polynomial, n: int) -> list:
@@ -143,7 +129,8 @@ def lin_tensor_direct(pair: SequencePair, n_max: int) -> LinTensor:
     exact window of a size >= required_size(n_max) truncation.  With b the
     lower bandwidth of H, row i of p_m(H) vanishes outside columns
     i-m*b..i+m, so every row fits in columns 0..2N and each sum visits only
-    that span.  The entries equal those of recurrence_poly_matrices(H, H, N).
+    that span.  The entries equal those of
+    crosscheck.recurrence_poly_matrices(H, H, N).
     """
     required = required_size(n_max)
     if pair.size < required:
@@ -180,15 +167,11 @@ def lin_tensor_direct(pair: SequencePair, n_max: int) -> LinTensor:
                         acc[k] -= c * v
             nxt.append(acc)
         mats.append(nxt)
-    slices = tuple(
-        tuple(
-            tuple(mats[m][n][k] for m in range(n_max + 1))
-            for n in range(n_max + 1)
-        )
-        for k in range(last + 1)
+    tensor = LinTensor.from_slices(
+        n_max, lambda k: [[mats[m][n][k] for m in range(n_max + 1)] for n in range(n_max + 1)]
     )
-    _validate_d_properties(slices, n_max)
-    return LinTensor(n_max=n_max, k_max=last, slices=slices)
+    _validate_d_properties(tensor.slices, n_max)
+    return tensor
 
 
 def lin_tensor_recurrence(h: TruncMatrix, n_max: int, k: int) -> list:
@@ -235,7 +218,7 @@ def lin_tensor_recurrence(h: TruncMatrix, n_max: int, k: int) -> list:
 
 
 def connection_matrix(pair_p: SequencePair, pair_u: SequencePair, m_max: int) -> list:
-    """C with p_m = sum_k C[m][k] u_k: row 0 of each p_m evaluated at u's H."""
+    """C with p_m = sum_k C[m][k] u_k: C = P_p @ A_u on rows 0..m_max of both."""
     required = m_max + 2
     if pair_p.size < required or pair_u.size < required:
         raise WindowError(
@@ -245,10 +228,13 @@ def connection_matrix(pair_p: SequencePair, pair_u: SequencePair, m_max: int) ->
         raise StructureError(
             f"size mismatch: {pair_p.size} vs {pair_u.size}"
         )
-    mats = recurrence_poly_matrices(pair_p.H, pair_u.H, m_max)
-    return [
-        [mats[m].rows[0][kk] for kk in range(m_max + 1)] for m in range(m_max + 1)
-    ]
+    n = m_max + 1
+    conn = pair_p.P.leading(n) @ pair_u.A.leading(n)
+    if conn.exact_rows < n:
+        raise WindowError(
+            n, conn.exact_rows, f"connection_matrix(m_max={m_max}) on exact rows of P_p, A_u"
+        )
+    return [list(row) for row in conn.rows]
 
 
 def mixed_tensor(pair_p: SequencePair, pair_u: SequencePair, n_max: int) -> LinTensor:
@@ -262,11 +248,9 @@ def mixed_tensor(pair_p: SequencePair, pair_u: SequencePair, n_max: int) -> LinT
         raise WindowError(required, pair_p.size, f"mixed_tensor(n_max={n_max})")
     k_max = 2 * n_max
     d = lin_tensor_direct(pair_p, n_max)
-    # Row 0 of p_j evaluated at u's matrix is p_j in the u-basis.
-    conn = recurrence_poly_matrices(pair_p.H, pair_u.H, k_max)
-    c = [[conn[j].rows[0][kk] for kk in range(k_max + 1)] for j in range(k_max + 1)]
-    slices = []
-    for k in range(k_max + 1):
+    c = connection_matrix(pair_p, pair_u, k_max)
+
+    def mixed_slice(k):
         sl = [[Fraction(0)] * (n_max + 1) for _ in range(n_max + 1)]
         for j in range(k, k_max + 1):
             cjk = c[j][k]
@@ -278,8 +262,9 @@ def mixed_tensor(pair_p: SequencePair, pair_u: SequencePair, n_max: int) -> LinT
                 for m in range(n_max + 1):
                     if row[m]:
                         sl[n][m] += cjk * row[m]
-        slices.append(tuple(tuple(r) for r in sl))
-    return LinTensor(n_max=n_max, k_max=k_max, slices=tuple(slices))
+        return sl
+
+    return LinTensor.from_slices(n_max, mixed_slice)
 
 
 def verify_inverse_connection(pair_p: SequencePair, pair_u: SequencePair, m_max: int):

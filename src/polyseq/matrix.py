@@ -62,12 +62,6 @@ class TruncMatrix:
     def entry(self, i: int, k: int) -> Fraction:
         return self.rows[i][k]
 
-    def row(self, i: int) -> tuple:
-        return self.rows[i]
-
-    def column(self, k: int) -> tuple:
-        return tuple(row[k] for row in self.rows)
-
     def leading(self, n: int) -> "TruncMatrix":
         """Leading n x n principal submatrix (certificate clipped to n)."""
         if n > self.size:

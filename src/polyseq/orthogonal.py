@@ -39,7 +39,6 @@ from .errors import (
 )
 from .linearize import LinTensor, required_size
 from .matrix import TruncMatrix, first_below_band
-from .oracle import poly_mul
 from .sequences import (
     HSpec,
     SequencePair,
@@ -129,7 +128,7 @@ def orthogonality_table(pair: SequencePair, n_max: int) -> list:
     table = [[Fraction(0)] * (n_max + 1) for _ in range(n_max + 1)]
     for n in range(n_max + 1):
         for m in range(n, n_max + 1):
-            v = tau_apply(moments, poly_mul(pair.polys[n], pair.polys[m]))
+            v = tau_apply(moments, pair.polys[n] * pair.polys[m])
             table[n][m] = table[m][n] = v
     return table
 
@@ -173,6 +172,6 @@ def partial_orthogonality_check(h: TruncMatrix, band: int, n_max: int):
     moments = tau_moments(pair)
     for n in range(max_n + 1):
         for m in range(spread * n + 1, n_max + 1):
-            if tau_apply(moments, poly_mul(pair.polys[n], pair.polys[m])) != 0:
+            if tau_apply(moments, pair.polys[n] * pair.polys[m]) != 0:
                 return False, (n, m)
     return True, None

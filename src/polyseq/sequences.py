@@ -14,12 +14,6 @@ obeying
 Rows of A are the coefficients of the inverse sequence u_k (the expansion of
 t^k in the p-basis), and column 0 of A lists the moments of the linear
 functional tau with tau(p_n) = 0 for n >= 1: tau(t^k) = A[k][0].
-
-H also has an explicit right inverse: with Y = H@Xhat (monic lower
-triangular) set Hhat = Xhat @ Y^{-1}.  Then H@Hhat = I, Hhat@H differs from I
-only in column 0, and P@Xhat = Hhat@P, which yields P column by column:
-column 0 of P equals column 0 of -Hhat@H with its top entry set to 1, and
-col_{k+1} = Hhat @ col_k.
 """
 
 from __future__ import annotations
@@ -39,7 +33,6 @@ from .matrix import (
     TruncMatrix,
     lower_bandwidth,
     lower_tri_inverse,
-    make_operator,
     product_exact_rows,
 )
 from .polynomial import Polynomial
@@ -171,31 +164,6 @@ class SequencePair:
         return self.H.size
 
 
-def build_A_rows(h: TruncMatrix) -> TruncMatrix:
-    """The unique monic triangular A with A@H = X@A, one row at a time.
-
-    row_{j+1} = row_j @ H; row j has support in columns 0..j, so the
-    truncation never loses mass and all size rows are exact.
-    """
-    check_unit_hessenberg(h)
-    t = h.size
-    rows = [[Fraction(0)] * t for _ in range(t)]
-    rows[0][0] = Fraction(1)
-    for j in range(t - 1):
-        cur = rows[j]
-        nxt = rows[j + 1]
-        for k in range(j + 2):
-            if k >= t:
-                break
-            acc = Fraction(0)
-            for i in range(max(0, k - 1), j + 1):
-                v = cur[i]
-                if v:
-                    acc += v * h.rows[i][k]
-            nxt[k] = acc
-    return TruncMatrix(rows, index=0, exact_rows=t)
-
-
 def build_P_recurrence(h: TruncMatrix) -> SequencePair:
     """The full sequence pair for a monic Hessenberg truncation.
 
@@ -283,56 +251,6 @@ def _dot(row, rows, k, lo, hi):
             if w:
                 acc += v * w
     return acc
-
-
-def build_Hhat(h: TruncMatrix) -> TruncMatrix:
-    """The right inverse Hhat = Xhat @ (H@Xhat)^{-1}, exact on the block.
-
-    Y = H@Xhat just shifts H's columns left; its last diagonal entry lies
-    outside the stored block but equals 1 by monic structure, so Y is
-    completed from that certificate before the (exact, triangular) inversion.
-    """
-    check_unit_hessenberg(h)
-    t = h.size
-    y = [[Fraction(0)] * t for _ in range(t)]
-    for i in range(t):
-        for k in range(t - 1):
-            y[i][k] = h.rows[i][k + 1]
-    y[t - 1][t - 1] = Fraction(1)
-    yinv = lower_tri_inverse(TruncMatrix(y, index=0, exact_rows=t))
-    return make_operator("Xhat", t) @ yinv
-
-
-def _mat_vec(m: TruncMatrix, v: list) -> list:
-    out = []
-    for i in range(m.size):
-        hi = min(m.size - 1, i - m.index)
-        acc = Fraction(0)
-        row = m.rows[i]
-        for j in range(0, hi + 1):
-            rv = row[j]
-            if rv:
-                acc += rv * v[j]
-        out.append(acc)
-    return out
-
-
-def build_P_columns(h: TruncMatrix) -> TruncMatrix:
-    """P built column-first through the right inverse.
-
-    Column 0 is column 0 of -Hhat@H with the top entry set to 1; then
-    col_{k+1} = Hhat @ col_k.  Hhat has index 1, so every column is exact.
-    """
-    t = h.size
-    hhat = build_Hhat(h)
-    hhat_h = hhat @ h
-    col = [-hhat_h.rows[i][0] for i in range(t)]
-    col[0] = Fraction(1)
-    cols = [col]
-    for _ in range(t - 1):
-        cols.append(_mat_vec(hhat, cols[-1]))
-    rows = [[cols[k][i] for k in range(t)] for i in range(t)]
-    return TruncMatrix(rows, index=0, exact_rows=t)
 
 
 def tau_moments(pair: SequencePair) -> list:

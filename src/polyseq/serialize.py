@@ -7,7 +7,9 @@ separators, so parse + re-serialize is byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import re
 from fractions import Fraction
 
@@ -210,6 +212,26 @@ def read_json(path: str):
         raise SchemaError(f"{path}: invalid JSON: {exc}") from None
 
 
+@contextlib.contextmanager
+def atomic_open(path: str):
+    """A temp file beside path (links followed) that replaces it only if the
+    block completes; a pipe or device cannot be replaced, so is written as is."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def write_json(path: str, jsonable) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(canonical_dumps(jsonable))

@@ -10,16 +10,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .crosscheck import build_A_rows, build_Hhat, build_P_columns
+from .crosscheck import lin_tensor_oracle, recurrence_poly_matrices
 from .linearize import (
     LinTensor,
     lin_tensor_direct,
     lin_tensor_recurrence,
-    recurrence_poly_matrices,
     required_size,
     tensors_agree,
 )
 from .matrix import lower_bandwidth, make_operator
-from .oracle import expand_in_basis, lin_tensor_oracle, poly_mul
 from .orthogonal import (
     ThreeTermRecurrence,
     op_lin_recurrence,
@@ -27,14 +27,7 @@ from .orthogonal import (
     squared_norms,
     support_check,
 )
-from .sequences import (
-    HSpec,
-    build_A_rows,
-    build_P_columns,
-    build_P_recurrence,
-    build_Hhat,
-    realize_H,
-)
+from .sequences import HSpec, build_P_recurrence, realize_H
 
 
 @dataclass(frozen=True)
@@ -88,11 +81,7 @@ def run_suite(spec: HSpec, n_max: int, size: int | None = None) -> list:
     direct = lin_tensor_direct(pair, n_max)
     record("direct-tensor-properties", True, "validated on construction")
 
-    rec_slices = tuple(
-        tuple(tuple(row) for row in lin_tensor_recurrence(h, n_max, k))
-        for k in range(2 * n_max + 1)
-    )
-    rec_tensor = LinTensor(n_max=n_max, k_max=2 * n_max, slices=rec_slices)
+    rec_tensor = LinTensor.from_slices(n_max, lambda k: lin_tensor_recurrence(h, n_max, k))
     where = tensors_agree(direct, rec_tensor)
     record("direct-vs-recurrence", where is None, f"first difference at {where}")
 
@@ -103,7 +92,7 @@ def run_suite(spec: HSpec, n_max: int, size: int | None = None) -> list:
     ok = True
     for n in range(n_max + 1):
         for m in range(n_max + 1):
-            product = poly_mul(pair.polys[n], pair.polys[m])
+            product = pair.polys[n] * pair.polys[m]
             recon = sum(
                 (pair.polys[k].scale(direct.value(n, m, k)) for k in range(n + m + 1)),
                 start=pair.polys[0].scale(0),
@@ -113,7 +102,7 @@ def run_suite(spec: HSpec, n_max: int, size: int | None = None) -> list:
     record("product-reconstruction", ok)
 
     ok = True
-    mats = _pnh_list(pair, n_max)
+    mats = recurrence_poly_matrices(pair.H, pair.H, n_max + 1)
     for n in range(n_max + 1):
         for m in range(n_max + 1):
             if mats[n].rows[m] != mats[m].rows[n]:
@@ -137,11 +126,9 @@ def run_suite(spec: HSpec, n_max: int, size: int | None = None) -> list:
             )
             record("norms-diagonal", ok)
 
-            four_term = tuple(
-                tuple(tuple(row) for row in op_lin_recurrence(rec, n_max, k))
-                for k in range(2 * n_max + 1)
+            four_tensor = LinTensor.from_slices(
+                n_max, lambda k: op_lin_recurrence(rec, n_max, k)
             )
-            four_tensor = LinTensor(n_max=n_max, k_max=2 * n_max, slices=four_term)
             where = tensors_agree(direct, four_tensor)
             record("direct-vs-four-term", where is None, f"first difference at {where}")
 
@@ -157,10 +144,6 @@ def run_suite(spec: HSpec, n_max: int, size: int | None = None) -> list:
             record("support-bound", ok, f"violation at {where}" if not ok else "")
 
     return results
-
-
-def _pnh_list(pair, n_max):
-    return recurrence_poly_matrices(pair.H, pair.H, n_max + 1)
 
 
 def _row_recurrence_holds(pair, mats, n_max) -> bool:

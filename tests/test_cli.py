@@ -278,3 +278,67 @@ def test_negative_counts_are_argument_errors(tmp_path, cheb_spec, capsys, argv, 
 def test_zero_counts_stay_valid(tmp_path, cheb_spec, argv):
     argv = [cheb_spec if a == "S" else a for a in argv]
     assert cli.main(argv + ["--out", str(tmp_path / "x.json")]) == 0
+
+
+# -- one pair per run, atomic outputs, connect --verify on failure ---------------------
+
+def test_linearize_all_builds_the_pair_once(tmp_path, cheb_spec, monkeypatch):
+    calls = []
+    build = cli.build_P_recurrence
+
+    def counted(h):
+        calls.append(h.size)
+        return build(h)
+
+    monkeypatch.setattr(cli, "build_P_recurrence", counted)
+    rc = cli.main(["linearize", "--h-spec", cheb_spec, "--n-max", "3",
+                   "--method", "all", "--out", str(tmp_path / "lin.json")])
+    assert rc == 0
+    assert calls == [8]
+
+
+def _fail_on_call(n):
+    calls = []
+
+    def fail(*args, **kwargs):
+        calls.append(args)
+        if len(calls) >= n:
+            raise RuntimeError("write interrupted")
+        return "0"
+
+    return fail
+
+
+def test_failed_json_write_keeps_the_old_file(tmp_path, cheb_spec, monkeypatch):
+    out = tmp_path / "build.json"
+    out.write_bytes(b"old bytes\n")
+    before = set(tmp_path.iterdir())
+    monkeypatch.setattr("polyseq.serialize.canonical_dumps", _fail_on_call(1))
+    with pytest.raises(RuntimeError, match="write interrupted"):
+        cli.main(["build", "--h-spec", cheb_spec, "--size", "4", "--out", str(out)])
+    assert out.read_bytes() == b"old bytes\n"
+    assert set(tmp_path.iterdir()) == before
+
+
+def test_failed_csv_write_keeps_the_old_slice_file(tmp_path, cheb_spec, monkeypatch):
+    first = tmp_path / "d_k0.csv"
+    first.write_bytes(b"old bytes\n")
+    before = set(tmp_path.iterdir())
+    monkeypatch.setattr(cli, "rat_to_str", _fail_on_call(3))  # partway into slice 0
+    with pytest.raises(RuntimeError, match="write interrupted"):
+        cli.main(["linearize", "--h-spec", cheb_spec, "--n-max", "2", "--format", "csv",
+                  "--out", str(tmp_path / "d.csv")])
+    assert first.read_bytes() == b"old bytes\n"
+    assert set(tmp_path.iterdir()) == before
+
+
+def test_connect_verify_failure_still_writes_the_payload(tmp_path, cheb_spec, herm_spec,
+                                                         monkeypatch):
+    monkeypatch.setattr(cli, "verify_inverse_connection", lambda p, u, m: (False, (0, 1)))
+    out = tmp_path / "conn.json"
+    rc = cli.main(["connect", "--p-spec", cheb_spec, "--u-spec", herm_spec,
+                   "--m-max", "3", "--verify", "--out", str(out)])
+    assert rc == 4
+    blob = read_json(str(out))
+    assert blob["inverse_check"] is False
+    assert blob["connection"]["m_max"] == 3

@@ -1,0 +1,156 @@
+"""connection_matrix (C = P_p @ A_u) and mixed_tensor against the full-matrix route.
+
+The oracle is row 0 of p_m(K), the matrices recurrence_poly_matrices builds
+with p's recurrence at u's matrix K.  The last test keeps that route, and
+the others in the crosscheck module, out of the production modules.
+"""
+
+import ast
+import pathlib
+from fractions import Fraction as F
+from itertools import product
+
+import pytest
+
+from polyseq import (
+    FamilyParams,
+    HSpec,
+    SequencePair,
+    TruncMatrix,
+    WindowError,
+    build_P_recurrence,
+    connection_matrix,
+    lower_bandwidth,
+    mixed_tensor,
+    realize_H,
+    recurrence_poly_matrices,
+    required_size,
+)
+from tests.conftest import (
+    rand_fraction,
+    rand_hessenberg_rows,
+    rand_nonzero_fraction,
+    rand_tridiagonal_spec,
+)
+
+FAMILIES = {
+    "chebyshev": HSpec.from_family(FamilyParams("chebyshev", F(1, 4), F(0))),
+    "hermite": HSpec.from_family(FamilyParams("hermite", F(1), F(0))),
+    "charlier": HSpec.from_family(FamilyParams("charlier", F(1))),
+}
+
+
+def pair_of(spec, t):
+    return build_P_recurrence(realize_H(spec, t))
+
+
+def oracle_connection(pair_p, pair_u, m_max):
+    mats = recurrence_poly_matrices(pair_p.H, pair_u.H, m_max)
+    return [[mats[m].rows[0][k] for k in range(m_max + 1)] for m in range(m_max + 1)]
+
+
+def assert_connection_matches_oracle(pair_p, pair_u, m_max):
+    conn = connection_matrix(pair_p, pair_u, m_max)
+    assert conn == oracle_connection(pair_p, pair_u, m_max)
+    assert all(isinstance(v, F) for row in conn for v in row)
+
+
+@pytest.mark.parametrize("p_name,u_name", list(product(FAMILIES, repeat=2)))
+def test_connection_matches_oracle_on_family_pairs(p_name, u_name):
+    for m_max in (0, 1, 6):
+        t = m_max + 2
+        assert_connection_matches_oracle(
+            pair_of(FAMILIES[p_name], t), pair_of(FAMILIES[u_name], t), m_max)
+
+
+def test_connection_matches_oracle_with_a_zero_alpha(rng):
+    t = 10
+    beta = [rand_fraction(rng) for _ in range(t)]
+    alpha = [rand_nonzero_fraction(rng) for _ in range(t - 1)]
+    alpha[4] = F(0)
+    pair_p = pair_of(HSpec.tridiagonal(beta, alpha), t)
+    pair_u = pair_of(rand_tridiagonal_spec(rng, t), t)
+    assert_connection_matches_oracle(pair_p, pair_u, t - 2)
+    assert_connection_matches_oracle(pair_u, pair_p, t - 2)
+
+
+def test_connection_matches_oracle_on_banded_and_dense_rows(rng):
+    t = 10
+    penta = HSpec.from_rows([
+        [rand_fraction(rng, -3, 3) if k - j <= 2 else 0 for j in range(k + 1)]
+        for k in range(t)
+    ])
+    dense = HSpec.from_rows(rand_hessenberg_rows(rng, t))
+    pair_penta, pair_dense = pair_of(penta, t), pair_of(dense, t)
+    assert lower_bandwidth(pair_penta.H) == 2
+    assert lower_bandwidth(pair_dense.H) == t - 1
+    assert_connection_matches_oracle(pair_penta, pair_dense, t - 2)
+    assert_connection_matches_oracle(pair_dense, pair_penta, t - 2)
+    assert_connection_matches_oracle(pair_dense, pair_of(FAMILIES["charlier"], t), t - 2)
+
+
+def test_connection_of_a_sequence_to_itself_is_the_identity(rng):
+    pair = pair_of(HSpec.from_rows(rand_hessenberg_rows(rng, 9)), 9)
+    assert connection_matrix(pair, pair, 7) == [
+        [F(int(m == k)) for k in range(8)] for m in range(8)
+    ]
+
+
+def test_connection_matches_oracle_above_required_size():
+    for t in (9, 14):
+        assert_connection_matches_oracle(
+            pair_of(FAMILIES["hermite"], t), pair_of(FAMILIES["charlier"], t), 4)
+
+
+def test_connection_matches_oracle_at_m_max_30():
+    t = 32
+    assert_connection_matches_oracle(
+        pair_of(FAMILIES["chebyshev"], t), pair_of(FAMILIES["hermite"], t), 30)
+
+
+def test_mixed_tensor_matches_oracle(rng):
+    n_max = 3
+    t = required_size(n_max)
+    for pair_p, pair_u in (
+        (pair_of(FAMILIES["chebyshev"], t), pair_of(FAMILIES["charlier"], t)),
+        (pair_of(HSpec.from_rows(rand_hessenberg_rows(rng, t)), t),
+         pair_of(rand_tridiagonal_spec(rng, t), t)),
+    ):
+        pnh = recurrence_poly_matrices(pair_p.H, pair_p.H, n_max)
+        conn = oracle_connection(pair_p, pair_u, 2 * n_max)
+        mixed = mixed_tensor(pair_p, pair_u, n_max)
+        for n, m, k in product(range(n_max + 1), range(n_max + 1), range(2 * n_max + 1)):
+            want = sum(pnh[m].rows[n][j] * conn[j][k] for j in range(2 * n_max + 1))
+            assert mixed.value(n, m, k) == want
+
+
+@pytest.mark.parametrize("short", ["P", "A"])
+def test_connection_refuses_a_short_certificate(short):
+    t, m_max = 8, 5
+    pair_p, pair_u = pair_of(FAMILIES["chebyshev"], t), pair_of(FAMILIES["hermite"], t)
+    if short == "P":
+        pair_p = SequencePair(H=pair_p.H, A=pair_p.A, polys=pair_p.polys,
+                              P=TruncMatrix(pair_p.P.rows, index=0, exact_rows=m_max))
+    else:
+        pair_u = SequencePair(H=pair_u.H, P=pair_u.P, polys=pair_u.polys,
+                              A=TruncMatrix(pair_u.A.rows, index=0, exact_rows=m_max))
+    with pytest.raises(WindowError):
+        connection_matrix(pair_p, pair_u, m_max)
+    assert connection_matrix(pair_p, pair_u, m_max - 1) == oracle_connection(
+        pair_p, pair_u, m_max - 1)
+
+
+PRODUCTION = ("linearize", "sequences", "orthogonal", "matrix", "families", "serialize")
+
+
+@pytest.mark.parametrize("module", PRODUCTION)
+def test_production_modules_do_not_import_crosscheck(module):
+    path = pathlib.Path(__file__).parents[1] / "src" / "polyseq" / f"{module}.py"
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        assert not any("crosscheck" in name for name in names), (module, ast.dump(node))

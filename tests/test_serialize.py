@@ -177,3 +177,27 @@ def test_no_floats_anywhere(hermite_pair):
     for token in json.loads(text)["slices"][2]["matrix"]:
         for cell in token:
             assert isinstance(cell, str)
+
+
+def test_write_json_follows_links_and_writes_pipes_in_place(tmp_path):
+    import os
+    import stat
+    import threading
+
+    target = tmp_path / "real.json"
+    target.write_text("old\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    write_json(str(link), {"a": "1"})
+    assert link.is_symlink() and target.read_text() == '{"a":"1"}\n'
+
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    write_json(str(fifo), {"b": "2"})
+    reader.join(timeout=10)
+    assert not reader.is_alive() and got == ['{"b":"2"}\n']
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "pipe", "real.json"]
