@@ -30,11 +30,11 @@ from .families import (
     slice_closed_size,
 )
 from .linearize import (
+    _mixed_sum,
     connection_matrix,
     lin_tensor_direct,
     lin_tensor_recurrence,
     LinTensor,
-    mixed_tensor,
     required_size,
     tensors_agree,
     verify_inverse_connection,
@@ -151,10 +151,11 @@ def _cmd_linearize(args) -> int:
         _require_orthogonal(h)
     _progress(args, f"computing tensor n_max={args.n_max} at T={size} via {args.method}")
 
-    pair = build_P_recurrence(h) if args.method != "recurrence" else None
+    # direct reads H alone; only the oracle route needs the sequence pair
+    pair = build_P_recurrence(h) if args.method in ("oracle", "all") else None
     tensors = {}
     if args.method in ("direct", "all"):
-        tensors["direct"] = lin_tensor_direct(pair, args.n_max)
+        tensors["direct"] = lin_tensor_direct(h, args.n_max)
     if args.method in ("recurrence", "all"):
         tensors["recurrence"] = LinTensor.from_slices(
             args.n_max, lambda k: lin_tensor_recurrence(h, args.n_max, k)
@@ -187,10 +188,14 @@ def _cmd_connect(args) -> int:
     pair_p = build_P_recurrence(realize_H(p_spec, size))
     pair_u = build_P_recurrence(realize_H(u_spec, size))
     _progress(args, f"connection m_max={args.m_max} at T={size}")
-    conn = connection_matrix(pair_p, pair_u, args.m_max)
+    # one C_pu serves the connection output and the mixed sum
+    span = max(args.m_max, 2 * args.mixed if args.mixed is not None else 0)
+    c_pu = connection_matrix(pair_p, pair_u, span)
+    conn = [row[: args.m_max + 1] for row in c_pu[: args.m_max + 1]]
     payload = {"connection": connection_to_jsonable(args.m_max, conn)}
     if args.mixed is not None:
-        payload["mixed"] = tensor_to_jsonable(mixed_tensor(pair_p, pair_u, args.mixed))
+        d = lin_tensor_direct(pair_p, args.mixed)
+        payload["mixed"] = tensor_to_jsonable(_mixed_sum(d, c_pu))
     ok = True
     if args.verify:
         ok, where = verify_inverse_connection(pair_p, pair_u, args.m_max)

@@ -9,20 +9,22 @@ Taking w = p_m gives the linearization coefficients
 
     d(n, m, k) = p_m(H)[n][k],       p_n * p_m = sum_k d(n,m,k) p_k,
 
-computed two independent ways here: "direct" computes the rows of the
-matrix recurrence
+computed two independent ways here: "direct" reads H alone (no sequence
+pair) and computes the rows of the matrix recurrence
 
     p_{m+1}(H) = H @ p_m(H) - sum(H[m][j] * p_j(H) for j in range(m + 1))
 
 that the slices read (rows 0..2N-m of p_m(H), columns 0..2N, sums over H's
-band only); "recurrence" fills a fixed-k slice scalar by scalar from
+band only), in integers as q_m = D^m * p_m(H) over one denominator D of the
+entries of H it reads, normalised to Fractions once at the end;
+"recurrence" fills a fixed-k slice scalar by scalar from
 
     d(n+1,m,k) = d(n,m+1,k) + (H[m][m]-H[n][n]) d(n,m,k)
                  + sum(H[m][j] d(n,j,k) for j in range(m))
                  - sum(H[n][j] d(j,m,k) for j in range(n))
 
 using the symmetry d(m,j,k) = d(j,m,k) for the last sum.  The slices satisfy
-four structural identities (validated on the direct route):
+four structural identities (validated on the direct route, on q):
 
     d(n,m,k) = d(m,n,k);  d = 0 if n+m < k;  d = 1 if n+m = k;
     d(0,m,k) = 1 if m == k else 0.
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import PolyseqError, PropertyViolationError, StructureError, WindowError
 from .matrix import TruncMatrix, lower_bandwidth, poly_of_matrix
@@ -91,35 +94,43 @@ def linearize_with_w(pair: SequencePair, w: Polynomial, n: int) -> list:
     return list(wh.rows[n][: n + deg + 1])
 
 
-def _validate_d_properties(slices, n_max: int) -> None:
-    for k, sl in enumerate(slices):
+def _check_d_properties(q, powers, n_max: int) -> None:
+    """The four slice identities on d(n,m,k) = q[m][n][k] / D^m, in integers.
+
+    Symmetry is compared as q[m][n][k] == q[n][m][k] * D^(m-n) for n < m
+    (the pair (m, n) repeats it); Fractions are built only for a message.
+    """
+    def d(n, m, k):
+        return Fraction(q[m][n][k], powers[m])
+
+    for k in range(2 * n_max + 1):
         for n in range(n_max + 1):
+            qn = q[n]
             for m in range(n_max + 1):
-                v = sl[n][m]
-                if v != sl[m][n]:
+                v = q[m][n][k]
+                if n < m and v != qn[m][k] * powers[m - n]:
                     raise PropertyViolationError(
-                        f"d({n},{m},{k}) != d({m},{n},{k}): {v} vs {sl[m][n]}"
+                        f"d({n},{m},{k}) != d({m},{n},{k}): {d(n, m, k)} vs {d(m, n, k)}"
                     )
                 if n + m < k and v != 0:
                     raise PropertyViolationError(
-                        f"d({n},{m},{k}) = {v}, expected 0 (n+m < k)"
+                        f"d({n},{m},{k}) = {d(n, m, k)}, expected 0 (n+m < k)"
                     )
-                if n + m == k and v != 1:
+                if n + m == k and v != powers[m]:
                     raise PropertyViolationError(
-                        f"d({n},{m},{k}) = {v}, expected 1 (n+m = k)"
+                        f"d({n},{m},{k}) = {d(n, m, k)}, expected 1 (n+m = k)"
                     )
-                if n == 0:
-                    want = 1 if m == k else 0
-                    if v != want:
-                        raise PropertyViolationError(
-                            f"d(0,{m},{k}) = {v}, expected {want}"
-                        )
+                if n == 0 and v != (powers[m] if m == k else 0):
+                    raise PropertyViolationError(
+                        f"d(0,{m},{k}) = {d(n, m, k)}, expected {1 if m == k else 0}"
+                    )
 
 
-def lin_tensor_direct(pair: SequencePair, n_max: int) -> LinTensor:
+def lin_tensor_direct(h: TruncMatrix | SequencePair, n_max: int) -> LinTensor:
     """All slices k = 0..2*n_max from the rows of p_m(H) that they read.
 
-    d(n,m,k) = p_m(H)[n][k] for n, m <= N = n_max.  Row i of p_{m+1}(H) is
+    h is the truncation H (a SequencePair stands for its H).  d(n,m,k) =
+    p_m(H)[n][k] for n, m <= N = n_max.  Row i of p_{m+1}(H) is
 
         sum(H[i][j] * row j of p_m(H))  -  sum(H[m][j] * row i of p_j(H))
 
@@ -129,49 +140,65 @@ def lin_tensor_direct(pair: SequencePair, n_max: int) -> LinTensor:
     exact window of a size >= required_size(n_max) truncation.  With b the
     lower bandwidth of H, row i of p_m(H) vanishes outside columns
     i-m*b..i+m, so every row fits in columns 0..2N and each sum visits only
-    that span.  The entries equal those of
+    that span.
+
+    The arithmetic is in integers.  With D the lcm of the denominators of
+    the entries of H read (rows 0..2N-1, inside the band) and G = D*H, the
+    rows of q_m = D^m * p_m(H) obey
+
+        q_{m+1}[i] = sum(G[i][j] * q_m[j]) + D * q_m[i+1]
+                     - sum(G[m][j] * D^(m-j) * q_j[i] for j <= m),
+
+    the slice identities are checked on q, and each entry is normalised
+    once, as Fraction(q, D^m).  The entries equal those of
     crosscheck.recurrence_poly_matrices(H, H, N).
     """
+    if isinstance(h, SequencePair):
+        h = h.H
     required = required_size(n_max)
-    if pair.size < required:
-        raise WindowError(required, pair.size, f"lin_tensor_direct(n_max={n_max})")
-    h = pair.H
+    if h.size < required:
+        raise WindowError(required, h.size, f"lin_tensor_direct(n_max={n_max})")
     check_unit_hessenberg(h)
     band = max(lower_bandwidth(h), 0)
     last = 2 * n_max
-    hr = h.rows
-    zero, one = Fraction(0), Fraction(1)
-    # mats[m][i] = row i of p_m(H) on columns 0..2N, for i <= 2N - m.
-    mats = [[[one if k == i else zero for k in range(last + 1)] for i in range(last + 1)]]
+    # g[i][j - lo_i] = G[i][j] for the band lo_i = max(0, i - band) .. i.
+    read = [h.rows[i][max(0, i - band): i + 1] for i in range(last)]
+    den = lcm(*(v.denominator for row in read for v in row))
+    g = [[v.numerator * (den // v.denominator) for v in row] for row in read]
+    powers = [den**m for m in range(n_max + 1)]
+    # q[m][i] = row i of q_m on columns 0..2N, for i <= 2N - m.
+    q = [[[1 if k == i else 0 for k in range(last + 1)] for i in range(last + 1)]]
     for m in range(n_max):
-        cur = mats[m]
-        hm = hr[m]
-        lower = [(j, hm[j], mats[j]) for j in range(max(0, m - band), m + 1) if hm[j]]
+        cur = q[m]
+        lower = [(j, c * powers[m - j], q[j]) for j, c in enumerate(g[m], max(0, m - band)) if c]
         nxt = []
         for i in range(last - m):
-            acc = list(cur[i + 1])  # H[i][i+1] = 1
-            hi_row = hr[i]
-            for j in range(max(0, i - band), i + 1):
-                c = hi_row[j]
+            acc = [den * v for v in cur[i + 1]]  # G[i][i+1] = D
+            for j, c in enumerate(g[i], max(0, i - band)):
                 if c:
                     row = cur[j]
                     for k in range(max(0, j - m * band), min(last, j + m) + 1):
                         v = row[k]
                         if v:
                             acc[k] += c * v
-            for j, c, pj in lower:
-                row = pj[i]
+            for j, c, qj in lower:
+                row = qj[i]
                 for k in range(max(0, i - j * band), min(last, i + j) + 1):
                     v = row[k]
                     if v:
                         acc[k] -= c * v
             nxt.append(acc)
-        mats.append(nxt)
-    tensor = LinTensor.from_slices(
-        n_max, lambda k: [[mats[m][n][k] for m in range(n_max + 1)] for n in range(n_max + 1)]
-    )
-    _validate_d_properties(tensor.slices, n_max)
-    return tensor
+        q.append(nxt)
+    _check_d_properties(q, powers, n_max)
+    # d(n,m,k) = d(m,n,k): one Fraction serves both places.
+    zero = Fraction(0)
+    slices = [[[zero] * (n_max + 1) for _ in range(n_max + 1)] for _ in range(last + 1)]
+    for m in range(n_max + 1):
+        for n in range(m + 1):
+            for k, v in enumerate(q[m][n]):
+                if v:
+                    slices[k][n][m] = slices[k][m][n] = Fraction(v, powers[m])
+    return LinTensor.from_slices(n_max, slices.__getitem__)
 
 
 def lin_tensor_recurrence(h: TruncMatrix, n_max: int, k: int) -> list:
@@ -246,9 +273,13 @@ def mixed_tensor(pair_p: SequencePair, pair_u: SequencePair, n_max: int) -> LinT
         )
     if pair_p.size < required:
         raise WindowError(required, pair_p.size, f"mixed_tensor(n_max={n_max})")
-    k_max = 2 * n_max
     d = lin_tensor_direct(pair_p, n_max)
-    c = connection_matrix(pair_p, pair_u, k_max)
+    return _mixed_sum(d, connection_matrix(pair_p, pair_u, 2 * n_max))
+
+
+def _mixed_sum(d: LinTensor, c) -> LinTensor:
+    """e(n,m,k) = sum_j d(n,m,j) * C[j][k], reading C on rows 0..k_max of d."""
+    n_max, k_max = d.n_max, d.k_max
 
     def mixed_slice(k):
         sl = [[Fraction(0)] * (n_max + 1) for _ in range(n_max + 1)]

@@ -24,10 +24,11 @@ _RAT_RE = re.compile(r"^-?\d+(/-?\d+)?$")
 
 
 def rat_to_str(v) -> str:
-    v = Fraction(v)
-    if v.denominator == 1:
-        return str(v.numerator)
-    return f"{v.numerator}/{v.denominator}"
+    # Fraction and int print as "p" or "p/q" in lowest terms; anything else
+    # (bool, str, float, subclasses) is read as a Fraction first.
+    if type(v) is not Fraction and type(v) is not int:
+        v = Fraction(v)
+    return str(v)
 
 
 def rat_from_str(s) -> Fraction:

@@ -1,14 +1,16 @@
 """The band-aware production kernels against the routes they replaced.
 
 lin_tensor_direct must equal, entry for entry, the rows of the full matrix
-recurrence (recurrence_poly_matrices) and the scalar recurrence; the pair
-self-check must accept and reject exactly the pairs the product-based check
-did.  Closed forms carry zero-tolerance checks to N = 40.
+recurrence (recurrence_poly_matrices) and the scalar recurrence, and its
+integer rows must survive denominators whose lcm grows past machine words;
+its integer slice check must fail with the messages of the Fraction check it
+replaced.  The pair self-check must accept and reject exactly the pairs the
+product-based check did.  Closed forms carry zero-tolerance checks to N = 40.
 """
 
 import random
 from fractions import Fraction as F
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import pytest
 
@@ -18,10 +20,13 @@ from polyseq import (
     LinTensor,
     PropertyViolationError,
     SequencePair,
+    StructureError,
     TruncMatrix,
+    WindowError,
     build_P_recurrence,
     first_below_band,
     lin_tensor_direct,
+    lin_tensor_oracle,
     lower_bandwidth,
     make_operator,
     realize_H,
@@ -29,6 +34,7 @@ from polyseq import (
     required_size,
     tensors_agree,
 )
+from polyseq.linearize import _check_d_properties
 from polyseq.sequences import _verify_pair
 from tests.conftest import rand_fraction, rand_hessenberg_rows, rand_nonzero_fraction
 from tests.test_linearize import recurrence_tensor
@@ -162,6 +168,158 @@ def test_direct_on_the_bare_shift():
     h = realize_H(HSpec.tridiagonal([0] * t, [0] * (t - 1)), t)
     assert lower_bandwidth(h) == -1
     assert_kernel_matches_oracles(build_P_recurrence(h), 4)
+
+
+# -- integer rows q_m = D^m * p_m(H) ------------------------------------------------
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+
+def coprime_entry(rng, i):
+    """A nonzero entry of either sign over the i-th prime (cycling)."""
+    return F(rng.choice((-1, 1)) * rng.randint(1, 4), PRIMES[i % len(PRIMES)])
+
+
+def coprime_rows_spec(rng, count, band):
+    return HSpec.from_rows([
+        [coprime_entry(rng, k + j) if k - j <= band else 0 for j in range(k + 1)]
+        for k in range(count)
+    ])
+
+
+def coprime_tridiagonal_spec(rng, count):
+    beta = [coprime_entry(rng, k) for k in range(count)]
+    alpha = [coprime_entry(rng, k + 4) for k in range(count - 1)]
+    return HSpec.tridiagonal(beta, alpha)
+
+
+def kernel_denominator(h, n_max):
+    """D of the integer kernel: lcm over the band of rows 0..2N-1 of H."""
+    band = max(lower_bandwidth(h), 0)
+    read = [h.rows[i][max(0, i - band):i + 1] for i in range(2 * n_max)]
+    return lcm(*(v.denominator for row in read for v in row))
+
+
+def assert_integer_kernel_matches(h, n_max):
+    pair = build_P_recurrence(h)
+    direct = lin_tensor_direct(h, n_max)
+    assert direct == matrix_route(pair, n_max)
+    assert tensors_agree(direct, lin_tensor_oracle(pair, n_max)) is None
+    assert direct == lin_tensor_direct(pair, n_max)
+    assert all(type(v) is F for sl in direct.slices for row in sl for v in row)
+    return direct
+
+
+@pytest.mark.parametrize("band", [1, 2, None])
+def test_integer_kernel_on_coprime_rows(rng, band):
+    for n_max in (2, 5):
+        t = required_size(n_max)
+        h = realize_H(coprime_rows_spec(rng, t, t if band is None else band), t)
+        assert kernel_denominator(h, n_max) > 2 * 3 * 5 * 7
+        assert_integer_kernel_matches(h, n_max)
+
+
+def test_integer_kernel_on_coprime_tridiagonal(rng):
+    for n_max in (1, 4, 7):
+        t = required_size(n_max)
+        assert_integer_kernel_matches(realize_H(coprime_tridiagonal_spec(rng, t), t), n_max)
+
+
+def test_integer_kernel_past_64_bits(rng):
+    n_max = 6
+    t = required_size(n_max)
+    h = realize_H(coprime_tridiagonal_spec(rng, t), t)
+    den = kernel_denominator(h, n_max)
+    assert den == lcm(*PRIMES) and den**n_max > 2**64
+    direct = assert_integer_kernel_matches(h, n_max)
+    assert max(v.denominator for sl in direct.slices for row in sl for v in row) > 2**64
+
+
+def test_integer_kernel_takes_h_or_pair(hermite_pair, cheb_pair):
+    for pair in (hermite_pair, cheb_pair):
+        for n_max in (0, 2, 4):
+            assert lin_tensor_direct(pair, n_max) == lin_tensor_direct(pair.H, n_max)
+
+
+def test_direct_guards_run_on_h():
+    h = realize_H(HSpec.from_family(FamilyParams("hermite", F(1), F(0))), 9)
+    with pytest.raises(WindowError, match=r"lin_tensor_direct\(n_max=4\)"):
+        lin_tensor_direct(h, 4)
+    rows = [list(r) for r in h.rows]
+    rows[2][3] = F(2)
+    with pytest.raises(StructureError, match=r"entry \(2,3\) must be 1"):
+        lin_tensor_direct(TruncMatrix(rows, index=-1), 3)
+
+
+def seed_validate_d_properties(slices, n_max):
+    """The slice identities checked on Fractions, in the kernel's order."""
+    for k, sl in enumerate(slices):
+        for n in range(n_max + 1):
+            for m in range(n_max + 1):
+                v = sl[n][m]
+                if v != sl[m][n]:
+                    raise PropertyViolationError(
+                        f"d({n},{m},{k}) != d({m},{n},{k}): {v} vs {sl[m][n]}"
+                    )
+                if n + m < k and v != 0:
+                    raise PropertyViolationError(
+                        f"d({n},{m},{k}) = {v}, expected 0 (n+m < k)"
+                    )
+                if n + m == k and v != 1:
+                    raise PropertyViolationError(
+                        f"d({n},{m},{k}) = {v}, expected 1 (n+m = k)"
+                    )
+                if n == 0:
+                    want = 1 if m == k else 0
+                    if v != want:
+                        raise PropertyViolationError(
+                            f"d(0,{m},{k}) = {v}, expected {want}"
+                        )
+
+
+def violation_kind(message):
+    if message is None:
+        return None
+    if " != " in message:
+        return "symmetry"
+    if "(n+m < k)" in message:
+        return "zero"
+    if "(n+m = k)" in message:
+        return "one"
+    return "row 0"
+
+
+def test_integer_check_fails_like_the_fraction_check():
+    # d(n,m,k) is changed, alone or together with d(m,n,k), by an amount that
+    # keeps D^m * d integral, so that each identity is the first to fail in
+    # some cases; the integer check must raise the Fraction check's message.
+    rng = random.Random(11)
+    kinds = set()
+    for _ in range(300):
+        n_max = rng.randint(1, 4)
+        t = required_size(n_max)
+        h = realize_H(coprime_tridiagonal_spec(rng, t), t)
+        den = kernel_denominator(h, n_max)
+        powers = [den**m for m in range(n_max + 1)]
+        d = [[list(row) for row in sl] for sl in lin_tensor_direct(h, n_max).slices]
+        n = 0 if rng.random() < 0.3 else rng.randint(0, n_max)
+        m, k = rng.randint(0, n_max), rng.randint(0, 2 * n_max)
+        both = rng.random() < 0.6
+        if min(n, m) if both else m:
+            delta = rng.choice((1, -1, F(1, den), F(-2, den)))
+        else:
+            delta = rng.choice((1, -1, 2))
+        d[k][n][m] += delta
+        if both:
+            d[k][m][n] = d[k][n][m]
+        q = [[[d[kk][i][j] * powers[j] for kk in range(2 * n_max + 1)]
+              for i in range(n_max + 1)] for j in range(n_max + 1)]
+        assert all(v.denominator == 1 for qj in q for row in qj for v in row)
+        q = [[[int(v) for v in row] for row in qj] for qj in q]
+        got = outcome(lambda _: _check_d_properties(q, powers, n_max), None)
+        assert got == outcome(lambda _: seed_validate_d_properties(d, n_max), None)
+        kinds.add(violation_kind(got))
+    assert kinds == {None, "symmetry", "zero", "one", "row 0"}
 
 
 # -- the pair self-check ------------------------------------------------------------

@@ -297,6 +297,99 @@ def test_linearize_all_builds_the_pair_once(tmp_path, cheb_spec, monkeypatch):
     assert calls == [8]
 
 
+COPRIME_ROWS = {"type": "rows", "rows": [
+    ["1/2"], ["-2/3", "3/5"], ["1/7", "-4/11", "5/13"], ["0", "2/17", "-1/19", "3/23"],
+    ["0", "0", "-5/2", "1/3", "7/5"], ["0", "0", "0", "-1/7", "2/11", "-3/13"],
+    ["0", "0", "0", "0", "4/17", "1/19", "-2/23"], ["0"] * 7 + ["1"], ["0"] * 9,
+]}
+
+
+def _no_pair(h):
+    raise AssertionError("the direct route built the sequence pair")
+
+
+@pytest.mark.parametrize("spec", ["cheb", "coprime_rows"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_linearize_direct_builds_no_pair(tmp_path, cheb_spec, monkeypatch, spec, fmt):
+    path = cheb_spec if spec == "cheb" else write_spec(tmp_path, "rows.json", COPRIME_ROWS)
+
+    def run(method):
+        out = tmp_path / method / f"lin.{fmt}"
+        out.parent.mkdir()
+        rc = cli.main(["linearize", "--h-spec", path, "--n-max", "3", "--method", method,
+                       "--format", fmt, "--out", str(out)])
+        assert rc == 0
+        return {f.name: f.read_bytes() for f in out.parent.iterdir()}
+
+    expected = run("all")
+    monkeypatch.setattr(cli, "build_P_recurrence", _no_pair)
+    assert run("direct") == expected
+
+
+def _rows(rows):
+    return {"type": "rows", "rows": rows}
+
+
+@pytest.mark.parametrize("spec, argv, message", [
+    (_rows([["1"], ["1", "1"], ["1", "1", "1"], ["1", "1", "1", "1"]]),
+     ["--n-max", "1", "--require-orthogonal"], "not tridiagonal"),
+    ({"type": "tridiagonal", "beta": ["0"] * 6, "alpha": ["1", "0", "1", "1", "1"]},
+     ["--n-max", "2", "--require-orthogonal"], "alpha_2"),
+    (_rows([["0"]] * 8), ["--n-max", "3", "--size", "7"], "needs truncation size T >= 8"),
+    (_rows([["0", "2"]] + [["0"]] * 7), ["--n-max", "3"], "row 0 must have 1 at column 1"),
+])
+def test_linearize_direct_exit_codes_without_the_pair(tmp_path, monkeypatch, capsys,
+                                                      spec, argv, message):
+    monkeypatch.setattr(cli, "build_P_recurrence", _no_pair)
+    path = write_spec(tmp_path, "spec.json", spec)
+    rc = cli.main(["linearize", "--h-spec", path, *argv, "--out", str(tmp_path / "x.json")])
+    assert rc == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("m_max, mixed, verify, calls", [
+    (4, 3, True, [6, 4, 4]),
+    (5, 1, True, [5, 5, 5]),
+    (4, 3, False, [6]),
+    (3, None, False, [3]),
+])
+def test_connect_builds_c_pu_once_for_output_and_mixed(tmp_path, cheb_spec, herm_spec,
+                                                       monkeypatch, m_max, mixed, verify, calls):
+    # C_pu is built once, at max(m_max, 2N), for the connection output and the
+    # mixed sum; verify_inverse_connection builds its own C_pu and C_up.
+    from polyseq import linearize
+    from polyseq.sequences import build_P_recurrence, realize_H
+    from polyseq.serialize import connection_to_jsonable, hspec_from_jsonable, tensor_to_jsonable
+
+    seen = []
+    build = linearize.connection_matrix
+
+    def counted(pair_p, pair_u, m):
+        seen.append(m)
+        return build(pair_p, pair_u, m)
+
+    monkeypatch.setattr(cli, "connection_matrix", counted)
+    monkeypatch.setattr(linearize, "connection_matrix", counted)
+    out = tmp_path / "conn.json"
+    argv = ["connect", "--p-spec", cheb_spec, "--u-spec", herm_spec, "--m-max", str(m_max),
+            "--out", str(out)]
+    argv += ["--mixed", str(mixed)] if mixed is not None else []
+    argv += ["--verify"] if verify else []
+    assert cli.main(argv) == 0
+    assert seen == calls
+    monkeypatch.undo()
+
+    blob = read_json(str(out))
+    size = max(m_max + 2, 2 * mixed + 2 if mixed is not None else 0,
+               2 * m_max + 2 if verify else 0)
+    pair_p, pair_u = (build_P_recurrence(realize_H(hspec_from_jsonable(read_json(p)), size))
+                      for p in (cheb_spec, herm_spec))
+    assert blob["connection"] == connection_to_jsonable(m_max, build(pair_p, pair_u, m_max))
+    if mixed is not None:
+        assert blob["mixed"] == tensor_to_jsonable(linearize.mixed_tensor(pair_p, pair_u, mixed))
+
+
 def _fail_on_call(n):
     calls = []
 
