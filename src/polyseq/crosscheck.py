@@ -3,7 +3,9 @@ r"""The paper's alternate routes to the library's outputs, as cross-checks.
 Each output has one production kernel; each route here recomputes one of
 them another way:
 
-- build_A_rows: A from row_0 = e_0, row_{j+1} = row_j @ H, against P^{-1}.
+- build_A_rows: A from row_0 = e_0, row_{j+1} = row_j @ H in Fractions, the
+  twin of the production pair's integer rows; the inverse of P (from
+  matrix.lower_tri_inverse) is A's oracle in `verify`.
 - build_Hhat, build_P_columns: the right inverse Hhat = Xhat @ (H@Xhat)^{-1}
   satisfies H@Hhat = I and P@Xhat = Hhat@P, which yields P column by
   column: column 0 of -Hhat@H with its top entry set to 1, then

@@ -256,12 +256,23 @@ def connection_matrix(pair_p: SequencePair, pair_u: SequencePair, m_max: int) ->
             f"size mismatch: {pair_p.size} vs {pair_u.size}"
         )
     n = m_max + 1
-    conn = pair_p.P.leading(n) @ pair_u.A.leading(n)
-    if conn.exact_rows < n:
+    exact = min(pair_p.P.exact_rows, pair_u.A.exact_rows, n)
+    if exact < n:
         raise WindowError(
-            n, conn.exact_rows, f"connection_matrix(m_max={m_max}) on exact rows of P_p, A_u"
+            n, exact, f"connection_matrix(m_max={m_max}) on exact rows of P_p, A_u"
         )
-    return [list(row) for row in conn.rows]
+    # C[m][k] = sum(P_p[m][j] * A_u[j][k] for j in k..m): both are lower triangular.
+    a_rows, zero = pair_u.A.rows, Fraction(0)
+    conn = []
+    for m, prow in enumerate(pair_p.P.rows[:n]):
+        row = [zero] * n
+        for j, c in enumerate(prow[: m + 1]):
+            if c:
+                for k, v in enumerate(a_rows[j][: j + 1]):
+                    if v:
+                        row[k] += c * v
+        conn.append(row)
+    return conn
 
 
 def mixed_tensor(pair_p: SequencePair, pair_u: SequencePair, n_max: int) -> LinTensor:

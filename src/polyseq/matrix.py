@@ -57,6 +57,15 @@ class TruncMatrix:
         self.index = index
         self.exact_rows = size if exact_rows is None else max(0, min(size, exact_rows))
 
+    @classmethod
+    def _trusted(cls, rows: tuple, index: int, exact_rows: int) -> "TruncMatrix":
+        """A block whose caller guarantees what __init__ checks: a square tuple
+        of tuples of Fractions, zero above diagonal `index`, and 0 <=
+        exact_rows <= size."""
+        m = object.__new__(cls)
+        m.rows, m.size, m.index, m.exact_rows = rows, len(rows), index, exact_rows
+        return m
+
     # -- access ------------------------------------------------------------
 
     def entry(self, i: int, k: int) -> Fraction:

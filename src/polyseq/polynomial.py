@@ -24,6 +24,13 @@ class Polynomial:
         self.coeffs = _strip(tuple(Fraction(c) for c in coeffs))
 
     @classmethod
+    def _trusted(cls, coeffs: tuple) -> "Polynomial":
+        """A polynomial from a tuple of Fractions with a nonzero last entry."""
+        poly = object.__new__(cls)
+        poly.coeffs = coeffs
+        return poly
+
+    @classmethod
     def zero(cls) -> "Polynomial":
         return cls(())
 

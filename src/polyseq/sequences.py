@@ -11,6 +11,12 @@ obeying
 
     p_{k+1}(t) = t*p_k(t) - sum(H[k][j] * p_j(t) for j in range(k + 1)).
 
+Both are computed that way, in integers: with D the lcm of the denominators
+in H's lower part, row j of A and row j of P are integer vectors over D^j,
+so the pair needs no inverse and no Fraction arithmetic until each entry is
+built once, after the identities A@P = I, A@H = X@A and H@P = P@X have been
+checked on the integer rows.
+
 Rows of A are the coefficients of the inverse sequence u_k (the expansion of
 t^k in the p-basis), and column 0 of A lists the moments of the linear
 functional tau with tau(p_n) = 0 for n >= 1: tau(t^k) = A[k][0].
@@ -20,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -29,12 +37,7 @@ from .errors import (
     StructureError,
 )
 from .families import FamilyParams, family_tridiagonal
-from .matrix import (
-    TruncMatrix,
-    lower_bandwidth,
-    lower_tri_inverse,
-    product_exact_rows,
-)
+from .matrix import TruncMatrix, lower_bandwidth, product_exact_rows
 from .polynomial import Polynomial
 
 
@@ -165,30 +168,123 @@ class SequencePair:
 
 
 def build_P_recurrence(h: TruncMatrix) -> SequencePair:
-    """The full sequence pair for a monic Hessenberg truncation.
+    """The full sequence pair for a monic Hessenberg truncation, in integers.
 
-    Runs the polynomial recurrence for p_0..p_{T-1}, inverts P to get A, and
-    verifies the defining identities before returning; failure of any of
-    them is a hard internal error.
+    With D the lcm of the denominators of H's entries on and below the
+    diagonal and G = D*H, row j of A and row j of P are integer vectors over
+    D^j.  The rows q_A[j] = D^j * row_j(A) and q_P[k] = D^k * p_k obey
+
+        q_A[j+1] = q_A[j] @ G,
+        q_P[k+1] = D * t * q_P[k] - sum(G[k][j] * D^(k-j) * q_P[j] for j <= k),
+
+    so the pair needs neither an inverse nor Fraction arithmetic.  The
+    identities A@P = I, A@H = X@A and H@P = P@X are checked on the integer
+    rows, over the windows and with the messages of _verify_pair; failure is
+    a hard internal error.  Only then is each entry built, once, as
+    Fraction(q, D^j), and polys[k] reads row k of P.
     """
     check_unit_hessenberg(h)
     t = h.size
-    polys = [Polynomial.one()]
-    for k in range(t - 1):
-        nxt = polys[k].times_t()
-        hrow = h.rows[k]
-        for j in range(k + 1):
-            c = hrow[j]
-            if c:
-                nxt = nxt - polys[j].scale(c)
-        polys.append(nxt)
-    p = TruncMatrix(
-        (poly.padded(t) for poly in polys), index=0, exact_rows=t
+    qa, qp, den = _integer_rows(h)
+    _check_integer_pair(h, qa, qp, den)
+    powers = [den**k for k in range(t)]
+    a, p = (
+        TruncMatrix._trusted(_over_powers(q, powers, t), index=0, exact_rows=t)
+        for q in (qa, qp)
     )
-    a = lower_tri_inverse(p)
-    pair = SequencePair(H=h, A=a, P=p, polys=tuple(polys))
-    _verify_pair(pair)
-    return pair
+    polys = tuple(Polynomial._trusted(row[: k + 1]) for k, row in enumerate(p.rows))
+    return SequencePair(H=h, A=a, P=p, polys=polys)
+
+
+def _integer_rows(h: TruncMatrix):
+    """(q_A, q_P, D): rows j of A and of P times D^j, as lists of ints over
+    columns 0..j, with D the lcm of the denominators of H's lower part."""
+    t = h.size
+    lower = [row[: i + 1] for i, row in enumerate(h.rows)]
+    den = lcm(*(v.denominator for row in lower for v in row))
+    # g[i] lists (j, G[i][j]) for the nonzero entries of row i on or below
+    # the diagonal; G[i][i+1] = D.
+    g = [
+        [(j, v.numerator * (den // v.denominator)) for j, v in enumerate(row) if v]
+        for row in lower
+    ]
+    qa = [[1]]
+    for j in range(t - 1):
+        acc = [0] * (j + 2)
+        for i, a in enumerate(qa[j]):
+            if a:
+                acc[i + 1] += a * den
+                for k, c in g[i]:
+                    acc[k] += a * c
+        qa.append(acc)
+    qp = [[1]]
+    for k in range(t - 1):
+        acc = [0] + [den * v for v in qp[k]]
+        for j, c in g[k]:
+            c *= den ** (k - j)
+            for i, v in enumerate(qp[j]):
+                if v:
+                    acc[i] -= c * v
+        qp.append(acc)
+    return qa, qp, den
+
+
+def _over_powers(q, powers, t) -> tuple:
+    """Rows Fraction(q[j][k], D^j), padded with zeros to t columns."""
+    zero = Fraction(0)
+    return tuple(
+        tuple(Fraction(v, powers[j]) if v else zero for v in row) + (zero,) * (t - j - 1)
+        for j, row in enumerate(q)
+    )
+
+
+def _check_integer_pair(h: TruncMatrix, qa, qp, den: int) -> None:
+    # _verify_pair on A = q_A / D^j and P = q_P / D^j by rows (index 0, exact
+    # on all rows), in integers, with its windows, its order and its messages.
+    # Row i of A@P times D^(2i) is sum(q_A[i][j] * D^(i-j) * q_P[j]); row i
+    # of A@H times D^(i+1) is q_A[i] @ G, where X@A has q_A[i+1]; row i of
+    # H@P times D^(i+1) is sum(G[i][j] * D^(i-j) * q_P[j] for j <= i) +
+    # q_P[i+1], where P@X has D * q_P[i] shifted right.  Entries are dot
+    # products with columns, which share no loop with the row recurrences.
+    t = h.size
+    powers = [den**k for k in range(2 * t - 1)]
+    pcols = [[qp[j][k] for j in range(k, t)] for k in range(t)]  # from row k down
+    for i in range(t):
+        arow = [a * powers[i - j] for j, a in enumerate(qa[i])]
+        for k in range(i + 1):
+            if sum(map(mul, arow[k:], pcols[k])) != (powers[2 * i] if k == i else 0):
+                raise PropertyViolationError("A @ P differs from the identity")
+    band = lower_bandwidth(h)
+    gcols = [[0] * t for _ in range(t)]
+    for i, row in enumerate(h.rows):
+        for j, v in enumerate(row[: i + 2]):
+            if v:
+                gcols[j][i] = v.numerator * (den // v.denominator)
+    window = min(
+        product_exact_rows(t, 0, h.exact_rows, t),
+        product_exact_rows(t, -1, t, t),  # X is exact with index -1
+    )
+    for i in range(window):
+        arow, shifted = qa[i], qa[i + 1]
+        for k in range(i + 2):
+            lo, hi = max(0, k + h.index), min(i, k + band) + 1
+            if sum(map(mul, arow[lo:hi], gcols[k][lo:hi])) != shifted[k]:
+                raise PropertyViolationError("A @ H and X @ A disagree on the exact window")
+    window = min(
+        product_exact_rows(h.exact_rows, h.index, t, t),
+        product_exact_rows(t, 0, t, t),
+    )
+    for i in range(window):
+        hrow = [gcols[j][i] * powers[i - j] for j in range(i + 1)]
+        prow, nxt = qp[i], qp[i + 1]
+        for k in range(i + 2):
+            lo = max(0, k, i - band)
+            got = sum(map(mul, hrow[lo:], pcols[k][lo - k:])) + nxt[k]
+            if got != (den * prow[k - 1] if k else 0):
+                raise PropertyViolationError("H @ P and P @ X disagree on the exact window")
+    for k in range(t):
+        if qp[k][k] != powers[k]:
+            raise PropertyViolationError(f"p_{k} is not monic of degree {k}")
 
 
 def _verify_pair(pair: SequencePair) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .crosscheck import build_A_rows, build_Hhat, build_P_columns
+from .crosscheck import build_Hhat, build_P_columns
 from .crosscheck import lin_tensor_oracle, recurrence_poly_matrices
 from .linearize import (
     LinTensor,
@@ -19,7 +19,8 @@ from .linearize import (
     required_size,
     tensors_agree,
 )
-from .matrix import lower_bandwidth, make_operator
+from .errors import PropertyViolationError
+from .matrix import lower_bandwidth, lower_tri_inverse, make_operator
 from .orthogonal import (
     ThreeTermRecurrence,
     op_lin_recurrence,
@@ -27,7 +28,7 @@ from .orthogonal import (
     squared_norms,
     support_check,
 )
-from .sequences import HSpec, build_P_recurrence, realize_H
+from .sequences import HSpec, _verify_pair, build_P_recurrence, realize_H
 
 
 @dataclass(frozen=True)
@@ -56,11 +57,15 @@ def run_suite(spec: HSpec, n_max: int, size: int | None = None) -> list:
     def record(name, ok, detail=""):
         results.append(CheckResult(name, bool(ok), detail))
 
-    pair = build_P_recurrence(h)  # verifies A@P, A@H=X@A, H@P=P@X internally
-    record("pair-invariants", True, "A@P = I, A@H = X@A, H@P = P@X")
+    pair = build_P_recurrence(h)  # checks the identities on its integer rows
+    try:
+        _verify_pair(pair)  # again on the Fractions it returns
+    except PropertyViolationError as exc:
+        record("pair-invariants", False, str(exc))
+    else:
+        record("pair-invariants", True, "A@P = I, A@H = X@A, H@P = P@X")
 
-    a_rows = build_A_rows(h)
-    record("A-rows-vs-inverse", a_rows == pair.A)
+    record("A-rows-vs-inverse", lower_tri_inverse(pair.P) == pair.A)
 
     p_cols = build_P_columns(h)
     record("P-columns-vs-recurrence", p_cols == pair.P)
@@ -147,7 +152,8 @@ def run_suite(spec: HSpec, n_max: int, size: int | None = None) -> list:
 
 
 def _row_recurrence_holds(pair, mats, n_max) -> bool:
-    # Row m of p_{n+1}(H) = sum(h[m][j] * row m... ) — expanded:
+    # Row m of p_{n+1}(H) = H @ p_n(H) - sum(H[n][j] * p_j(H) for j <= n),
+    # read on row m:
     # Row_m(p_{n+1}(H)) = sum_{j<=m+1} H[m][j] Row_j(p_n(H))
     #                     - sum_{j<=n} H[n][j] Row_m(p_j(H)).
     h = pair.H

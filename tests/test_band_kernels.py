@@ -5,7 +5,10 @@ recurrence (recurrence_poly_matrices) and the scalar recurrence, and its
 integer rows must survive denominators whose lcm grows past machine words;
 its integer slice check must fail with the messages of the Fraction check it
 replaced.  The pair self-check must accept and reject exactly the pairs the
-product-based check did.  Closed forms carry zero-tolerance checks to N = 40.
+product-based check did.  The integer sequence pair must equal the route it
+replaced (the polynomial recurrence and the inverse of P), and its integer
+check must fail with the messages of the Fraction self-check.  Closed forms
+carry zero-tolerance checks to N = 40.
 """
 
 import random
@@ -13,29 +16,36 @@ from fractions import Fraction as F
 from math import comb, factorial, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyseq import (
     FamilyParams,
     HSpec,
     LinTensor,
+    Polynomial,
     PropertyViolationError,
     SequencePair,
     StructureError,
     TruncMatrix,
     WindowError,
+    build_A_rows,
+    build_P_columns,
     build_P_recurrence,
     first_below_band,
     lin_tensor_direct,
     lin_tensor_oracle,
     lower_bandwidth,
+    lower_tri_inverse,
     make_operator,
     realize_H,
     recurrence_poly_matrices,
     required_size,
+    row_poly,
     tensors_agree,
 )
+from polyseq import sequences
 from polyseq.linearize import _check_d_properties
-from polyseq.sequences import _verify_pair
+from polyseq.sequences import _check_integer_pair, _integer_rows, _verify_pair
 from tests.conftest import rand_fraction, rand_hessenberg_rows, rand_nonzero_fraction
 from tests.test_linearize import recurrence_tensor
 
@@ -420,6 +430,188 @@ def test_self_check_agrees_with_seed_on_random_damage():
         assert verdict == outcome(seed_verify_pair, bad)
         verdicts.add(verdict)
     assert len(verdicts) == 4  # accepted, and each of the three identities
+
+
+# -- the integer sequence pair ------------------------------------------------------
+
+def seed_pair_route(h):
+    """(A, P, polys) by the polynomial recurrence and the inverse of P."""
+    t = h.size
+    polys = [Polynomial.one()]
+    for k in range(t - 1):
+        nxt = polys[k].times_t()
+        for j in range(k + 1):
+            c = h.rows[k][j]
+            if c:
+                nxt = nxt - polys[j].scale(c)
+        polys.append(nxt)
+    p = TruncMatrix((poly.padded(t) for poly in polys), index=0, exact_rows=t)
+    return lower_tri_inverse(p), p, tuple(polys)
+
+
+def assert_pair_matches_seed_route(h):
+    pair = build_P_recurrence(h)
+    a, p, polys = seed_pair_route(h)
+    assert pair.H is h
+    assert pair.P == p and pair.A == a and pair.polys == polys
+    for new, old in ((pair.A, a), (pair.P, p)):
+        assert (new.size, new.index, new.exact_rows) == (old.size, old.index, old.exact_rows)
+        assert all(type(row) is tuple for row in new.rows)
+        assert all(type(v) is F for row in new.rows for v in row)
+    assert all(type(c) is F for poly in pair.polys for c in poly.coeffs)
+    assert pair.A == build_A_rows(h) and pair.P == build_P_columns(h)
+    return pair
+
+
+def prime_entry(rng, i, lo=-4):
+    """An entry of either sign (zero when lo allows it) over the i-th prime."""
+    return F(rng.randint(lo, 4), PRIMES[i % len(PRIMES)])
+
+
+@st.composite
+def integer_pair_h(draw):
+    """H with band 0, 1, 2 or dense and entries over pairwise coprime primes."""
+    t = draw(st.integers(1, 9))
+    band = draw(st.sampled_from((0, 1, 2, None)))
+    entry = st.builds(F, st.integers(-4, 4), st.sampled_from(PRIMES))
+    rows = [[draw(entry) if band is None or k - j <= band else 0 for j in range(k + 1)]
+            for k in range(t)]
+    return realize_H(HSpec.from_rows(rows), t)
+
+
+@given(integer_pair_h())
+@settings(max_examples=60, deadline=None)
+def test_integer_pair_matches_the_inverse_route(h):
+    assert_pair_matches_seed_route(h)
+
+
+@pytest.mark.parametrize("band", [0, 1, 2, None])
+@pytest.mark.parametrize("t", [1, 2, 3, 9])
+def test_integer_pair_on_each_band_and_size(rng, band, t):
+    rows = [[prime_entry(rng, k + j) if band is None or k - j <= band else 0
+             for j in range(k + 1)] for k in range(t)]
+    h = realize_H(HSpec.from_rows(rows), t)
+    assert lower_bandwidth(h) <= (t - 1 if band is None else band)
+    assert_pair_matches_seed_route(h)
+
+
+def test_integer_pair_with_a_zero_alpha_and_negative_entries(rng):
+    t = 10
+    beta = [-prime_entry(rng, k, lo=1) for k in range(t)]
+    alpha = [-prime_entry(rng, k + 3, lo=1) for k in range(t - 1)]
+    alpha[4] = F(0)
+    h = realize_H(HSpec.tridiagonal(beta, alpha), t)
+    assert h.rows[5][4] == 0 and all(h.rows[k][k] < 0 for k in range(t))
+    assert_pair_matches_seed_route(h)
+
+
+def test_integer_pair_past_64_bits(rng):
+    t = 16
+    h = realize_H(coprime_tridiagonal_spec(rng, t), t)
+    den = _integer_rows(h)[2]
+    assert den == lcm(*PRIMES) and den**(t - 1) > 2**64
+    pair = assert_pair_matches_seed_route(h)
+    for m in (pair.A, pair.P):
+        assert max(v.denominator for row in m.rows for v in row) > 2**64
+
+
+def test_integer_pair_on_families_and_dense_rows(rng):
+    for params in (FamilyParams("charlier", F(3, 7)), FamilyParams("hermite", F(1), F(0)),
+                   FamilyParams("chebyshev", F(1, 4), F(0))):
+        assert_pair_matches_seed_route(realize_H(HSpec.from_family(params), 20))
+    assert_pair_matches_seed_route(realize_H(HSpec.from_rows(rand_hessenberg_rows(rng, 16)), 16))
+
+
+def fraction_pair(h, qa, qp, den):
+    """The pair the integer rows stand for: row j over D^j."""
+    t = h.size
+
+    def over(q):
+        return TruncMatrix([[F(v, den**j) for v in row] + [0] * (t - j - 1)
+                            for j, row in enumerate(q)], index=0, exact_rows=t)
+
+    a, p = over(qa), over(qp)
+    return SequencePair(H=h, A=a, P=p, polys=tuple(row_poly(p, k) for k in range(t)))
+
+
+def test_integer_pair_check_fails_like_the_fraction_check():
+    # One entry of q_A or q_P changed; or row k of P and column k of A
+    # negated together, which keeps A@P = I; or H changed after the rows
+    # were built.  H's certificate and declared index are drawn, so that
+    # A@P, A@H and the monic check are each the first to fail in some cases.
+    # H@P = P@X never is: with A exact on every row, its window lies inside
+    # that of A@H = X@A, and there P@(A@H) = P@(X@A) gives H = P@X@A on
+    # those rows, so H@P = P@X follows from A@P = I.
+    rng = random.Random(13)
+    verdicts = set()
+    for _ in range(300):
+        t = rng.randint(1, 7)
+        h = realize_H(coprime_rows_spec(rng, t, rng.choice((1, 2, t))), t)
+        qa, qp, den = _integer_rows(h)
+        kind = rng.choice(("A", "P", "sign", "H", "none"))
+        i = rng.randrange(t)
+        j = rng.randrange(i + 1)
+        if kind in ("A", "P"):
+            q = qa if kind == "A" else qp
+            q[i][j] += rng.choice((1, -1, den, -2))
+        elif kind == "sign":
+            qp[i] = [-v for v in qp[i]]
+            for r in range(i, t):
+                qa[r][i] = -qa[r][i]
+        elif kind == "H":
+            h = with_entry(h, i, j, h.rows[i][j] + rng.choice((1, -2)))
+        h = TruncMatrix(h.rows, index=rng.choice((-1, -2)), exact_rows=rng.randint(0, t))
+        got = outcome(lambda _: _check_integer_pair(h, qa, qp, den), None)
+        assert got == outcome(_verify_pair, fraction_pair(h, qa, qp, den)), kind
+        verdicts.add(got and ("monic" if got.startswith("p_") else got[:5]))
+    assert verdicts == {None, "A @ P", "A @ H", "monic"}
+
+
+VERIFY_NAMES = [
+    "pair-invariants", "A-rows-vs-inverse", "P-columns-vs-recurrence", "H-right-inverse",
+    "Hhat-left-defect-column-0", "direct-tensor-properties", "direct-vs-recurrence",
+    "direct-vs-oracle", "product-reconstruction", "row-identity", "row-recurrence",
+    "norms-diagonal", "direct-vs-four-term", "orthogonality-table", "support-bound",
+]
+
+
+def test_verify_checks_the_pair_it_is_handed(monkeypatch):
+    from polyseq import verify
+
+    spec = HSpec.from_family(FamilyParams("charlier", F(3, 7)))
+    results = verify.run_suite(spec, 3)
+    assert [r.name for r in results] == VERIFY_NAMES and all(r.ok for r in results)
+    built = build_P_recurrence(realize_H(spec, required_size(3)))
+    for name in "AP":
+        damaged = with_entry(getattr(built, name), 4, 2, getattr(built, name).rows[4][2] + 1)
+        bad = SequencePair(H=built.H, A=damaged if name == "A" else built.A,
+                           P=damaged if name == "P" else built.P, polys=built.polys)
+        monkeypatch.setattr(verify, "build_P_recurrence", lambda h, bad=bad: bad)
+        failed = {r.name: r.detail for r in verify.run_suite(spec, 3) if not r.ok}
+        assert failed["pair-invariants"] == "A @ P differs from the identity"
+        assert "A-rows-vs-inverse" in failed
+        assert ("P-columns-vs-recurrence" in failed) == (name == "P")
+
+
+@pytest.mark.parametrize("entry,value", [((2, 3), F(2)), ((1, 2), F(1, 2)), ((0, 2), F(3))])
+def test_build_checks_the_unit_superdiagonal_before_any_arithmetic(monkeypatch, entry, value):
+    t = 5
+    rows = [[F(0)] * t for _ in range(t)]
+    for i in range(t - 1):
+        rows[i][i + 1] = F(1)
+    rows[entry[0]][entry[1]] = value
+    h = TruncMatrix(rows, index=-2)
+    with pytest.raises(StructureError) as expected:
+        sequences.check_unit_hessenberg(h)
+
+    def no_arithmetic(_h):
+        raise AssertionError("integer rows built before the structure check")
+
+    monkeypatch.setattr(sequences, "_integer_rows", no_arithmetic)
+    with pytest.raises(StructureError) as got:
+        build_P_recurrence(h)
+    assert str(got.value) == str(expected.value)
+    assert f"entry ({entry[0]},{entry[1]})" in str(got.value)
 
 
 # -- closed forms at N = 40 ---------------------------------------------------------

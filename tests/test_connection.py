@@ -140,6 +140,19 @@ def test_connection_refuses_a_short_certificate(short):
         pair_p, pair_u, m_max - 1)
 
 
+@pytest.mark.parametrize("p_rows,a_rows", [(5, 8), (8, 4), (3, 2)])
+def test_connection_window_error_names_the_shorter_certificate(p_rows, a_rows):
+    t, m_max = 8, 5
+    pair_p, pair_u = pair_of(FAMILIES["charlier"], t), pair_of(FAMILIES["hermite"], t)
+    pair_p = SequencePair(H=pair_p.H, A=pair_p.A, polys=pair_p.polys,
+                          P=TruncMatrix(pair_p.P.rows, index=0, exact_rows=p_rows))
+    pair_u = SequencePair(H=pair_u.H, P=pair_u.P, polys=pair_u.polys,
+                          A=TruncMatrix(pair_u.A.rows, index=0, exact_rows=a_rows))
+    with pytest.raises(WindowError, match="on exact rows of P_p, A_u") as exc:
+        connection_matrix(pair_p, pair_u, m_max)
+    assert (exc.value.required, exc.value.actual) == (m_max + 1, min(p_rows, a_rows))
+
+
 PRODUCTION = ("linearize", "sequences", "orthogonal", "matrix", "families", "serialize")
 
 
