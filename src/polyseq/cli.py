@@ -2,7 +2,8 @@
 
 Subcommands
     build      realize H from a spec and emit H, A, P and the moments
-    linearize  compute linearization slices by one or all methods
+    linearize  compute linearization slices (with --method all, check them
+               against every alternate route)
     connect    connection matrix between two sequences (+ mixed tensor)
     family     closed-form family objects (p_n(H), slice k, series P)
     verify     run the full cross-method suite on a spec
@@ -33,13 +34,12 @@ from .linearize import (
     _mixed_sum,
     connection_matrix,
     lin_tensor_direct,
-    lin_tensor_recurrence,
     LinTensor,
     required_size,
     tensors_agree,
     verify_inverse_connection,
 )
-from .matrix import TruncMatrix, first_below_band
+from .orthogonal import recurrence_coefficients
 from .sequences import build_P_recurrence, realize_H, tau_moments
 from .serialize import (
     atomic_open,
@@ -85,17 +85,6 @@ def _load_spec(path: str):
 def _progress(args, msg: str) -> None:
     if args.verbose:
         print(msg)
-
-
-def _require_orthogonal(h: TruncMatrix) -> None:
-    from .errors import StructureError, ZeroAlphaError
-
-    hit = first_below_band(h, 1)
-    if hit is not None:
-        raise StructureError(f"entry ({hit[0]},{hit[1]}) is nonzero; matrix is not tridiagonal")
-    for k in range(1, h.size):
-        if h.rows[k][k - 1] == 0:
-            raise ZeroAlphaError(k)
 
 
 def _write_tensor(args, tensor: LinTensor) -> None:
@@ -148,30 +137,26 @@ def _cmd_linearize(args) -> int:
     size = _resolve_size(args.size, required, f"linearize n_max={args.n_max}")
     h = realize_H(spec, size)
     if args.require_orthogonal:
-        _require_orthogonal(h)
+        recurrence_coefficients(h)
     _progress(args, f"computing tensor n_max={args.n_max} at T={size} via {args.method}")
 
     # direct reads H alone; only the oracle route needs the sequence pair
-    pair = build_P_recurrence(h) if args.method in ("oracle", "all") else None
-    tensors = {}
-    if args.method in ("direct", "all"):
-        tensors["direct"] = lin_tensor_direct(h, args.n_max)
-    if args.method in ("recurrence", "all"):
-        tensors["recurrence"] = LinTensor.from_slices(
-            args.n_max, lambda k: lin_tensor_recurrence(h, args.n_max, k)
-        )
-    if args.method in ("oracle", "all"):
-        from .crosscheck import lin_tensor_oracle
+    pair = build_P_recurrence(h) if args.method == "all" else None
+    direct = lin_tensor_direct(h, args.n_max)
+    if pair is not None:
+        from .crosscheck import lin_tensor_oracle, lin_tensor_recurrence
 
-        tensors["oracle"] = lin_tensor_oracle(pair, args.n_max)
-
-    names = list(tensors)
-    first = tensors[names[0]]
-    for other in names[1:]:
-        where = tensors_agree(first, tensors[other])
-        if where is not None:
-            raise MismatchError(where, f"{names[0]} vs {other}")
-    _write_tensor(args, first)
+        others = {
+            "recurrence": LinTensor.from_slices(
+                args.n_max, lambda k: lin_tensor_recurrence(h, args.n_max, k)
+            ),
+            "oracle": lin_tensor_oracle(pair, args.n_max),
+        }
+        for name, tensor in others.items():
+            where = tensors_agree(direct, tensor)
+            if where is not None:
+                raise MismatchError(where, f"direct vs {name}")
+    _write_tensor(args, direct)
     _progress(args, f"wrote {args.out}")
     return 0
 
@@ -270,7 +255,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="polyseq",
         description="Exact polynomial-sequence computations from Hessenberg truncations",
     )
-    parser.add_argument("--verbose", action="store_true", help="print progress to stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, spec_flag="--h-spec"):
@@ -288,8 +272,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=_count, required=True)
     p.add_argument(
         "--method",
-        choices=("direct", "recurrence", "oracle", "all"),
+        choices=("direct", "all"),
         default="direct",
+        help="direct: the production route; all: also check it against every alternate route",
     )
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument(

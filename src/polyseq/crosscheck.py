@@ -10,14 +10,19 @@ them another way:
   satisfies H@Hhat = I and P@Xhat = Hhat@P, which yields P column by
   column: column 0 of -Hhat@H with its top entry set to 1, then
   col_{k+1} = Hhat @ col_k.
+- _verify_pair: the pair's identities A@P = I, A@H = X@A and H@P = P@X as
+  generic products, the oracle of build_P_recurrence's integer check.
 - recurrence_poly_matrices: the full matrices p_m(M).  Row n of p_m(H) is
   d(n,m,.) (lin_tensor_direct); row 0 of p_m(K) is C[m] (connection_matrix).
+- lin_tensor_recurrence: a fixed-k slice of d scalar by scalar from H.
+- op_lin_recurrence: the same slice from the four-term recurrence of an
+  orthogonal sequence, stated on its (beta, alpha) alone.
 - expand_in_basis, lin_tensor_oracle: schoolbook products and
   back-substitution in a graded monic basis; no matrix of a polynomial is
   formed, so this route is independent of the Hessenberg machinery.
 
-Only `verify`, `linearize --method oracle|all` and the tests use these
-routes; no production module imports this one.
+Only `verify`, `linearize --method all` and the tests use these routes; no
+production module imports this one.
 """
 
 from __future__ import annotations
@@ -25,11 +30,37 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BasisError, StructureError, WindowError
-from .linearize import LinTensor
+from .errors import (
+    BasisError,
+    PolyseqError,
+    PropertyViolationError,
+    StructureError,
+    WindowError,
+)
+from .linearize import LinTensor, check_h_window
 from .matrix import TruncMatrix, identity, lower_tri_inverse, make_operator
+from .orthogonal import ThreeTermRecurrence
 from .polynomial import Polynomial
 from .sequences import SequencePair, check_unit_hessenberg
+
+
+def _verify_pair(pair: SequencePair) -> None:
+    """A@P = I on the whole block; A@H = X@A and H@P = P@X on the rows both
+    sides certify; p_k monic of degree k.  Raises PropertyViolationError."""
+    h, a, p = pair.H, pair.A, pair.P
+    t = pair.size
+    if a.size != t or p.size != t:
+        raise StructureError(f"size mismatch: H {t}, A {a.size}, P {p.size}")
+    x = make_operator("X", t)
+    if a @ p != identity(t):
+        raise PropertyViolationError("A @ P differs from the identity")
+    if not (a @ h).equal_on_window(x @ a):
+        raise PropertyViolationError("A @ H and X @ A disagree on the exact window")
+    if not (h @ p).equal_on_window(p @ x):
+        raise PropertyViolationError("H @ P and P @ X disagree on the exact window")
+    for k, poly in enumerate(pair.polys):
+        if poly.degree != k or not poly.is_monic:
+            raise PropertyViolationError(f"p_{k} is not monic of degree {k}")
 
 
 def build_A_rows(h: TruncMatrix) -> TruncMatrix:
@@ -127,6 +158,79 @@ def recurrence_poly_matrices(h: TruncMatrix, at: TruncMatrix, m_max: int) -> lis
                 nxt = nxt - mats[j].scale(c)
         mats.append(nxt)
     return mats
+
+
+def lin_tensor_recurrence(h: TruncMatrix, n_max: int, k: int) -> list:
+    """One fixed-k slice, (n_max+1) square, from the scalar recurrence
+
+        d(n+1,m,k) = d(n,m+1,k) + (H[m][m]-H[n][n]) d(n,m,k)
+                     + sum(H[m][j] d(n,j,k) for j in range(m))
+                     - sum(H[n][j] d(j,m,k) for j in range(n)),
+
+    using the symmetry d(m,j,k) = d(j,m,k) for the last sum.  Row n is
+    filled for m up to 2*n_max - n (row n+1 consumes column m+1 of row n, so
+    widths shrink by one per row); the returned square block is checked for
+    symmetry as it completes.
+    """
+    if not 0 <= k <= 2 * n_max:
+        raise PolyseqError(f"k must lie in 0..{2 * n_max}, got {k}")
+    check_h_window(h, n_max, "lin_tensor_recurrence")
+    check_unit_hessenberg(h)
+    width0 = 2 * n_max
+    rows = [[Fraction(1) if m == k else Fraction(0) for m in range(width0 + 1)]]
+    for n in range(n_max):
+        width = width0 - (n + 1)
+        cur = rows[n]
+        hn = h.rows[n]
+        nxt = []
+        for m in range(width + 1):
+            hm = h.rows[m]
+            v = cur[m + 1] + (hm[m] - hn[n]) * cur[m]
+            for j in range(m):
+                c = hm[j]
+                if c:
+                    v += c * cur[j]
+            for j in range(n):
+                c = hn[j]
+                if c:
+                    v -= c * rows[j][m]
+            nxt.append(v)
+        rows.append(nxt)
+    return _symmetric_block(rows, n_max, k)
+
+
+def op_lin_recurrence(rec: ThreeTermRecurrence, n_max: int, k: int) -> list:
+    """One fixed-k slice from the four-term recurrence of an orthogonal
+    sequence (stated in polyseq.orthogonal's docstring)."""
+    if not 0 <= k <= 2 * n_max:
+        raise PolyseqError(f"k must lie in 0..{2 * n_max}, got {k}")
+    width0 = 2 * n_max
+    rec.require(max(width0, 1), max(width0 - 1, 0))
+    beta, alpha = rec.beta, rec.alpha
+    rows = [[Fraction(1) if m == k else Fraction(0) for m in range(width0 + 1)]]
+    for n in range(n_max):
+        width = width0 - (n + 1)
+        cur = rows[n]
+        nxt = []
+        for m in range(width + 1):
+            v = cur[m + 1] + (beta[m] - beta[n]) * cur[m]
+            if m >= 1:
+                v += alpha[m - 1] * cur[m - 1]
+            if n >= 1:
+                v -= alpha[n - 1] * rows[n - 1][m]
+            nxt.append(v)
+        rows.append(nxt)
+    return _symmetric_block(rows, n_max, k)
+
+
+def _symmetric_block(rows, n_max: int, k: int) -> list:
+    """The leading (n_max+1) square of a slice's rows, checked symmetric."""
+    out = [[rows[n][m] for m in range(n_max + 1)] for n in range(n_max + 1)]
+    for n in range(n_max + 1):
+        for m in range(n):
+            if out[n][m] != out[m][n]:
+                raise PropertyViolationError(f"slice k={k} lost symmetry at ({n},{m})")
+    return out
 
 
 def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:

@@ -9,22 +9,17 @@ Taking w = p_m gives the linearization coefficients
 
     d(n, m, k) = p_m(H)[n][k],       p_n * p_m = sum_k d(n,m,k) p_k,
 
-computed two independent ways here: "direct" reads H alone (no sequence
-pair) and computes the rows of the matrix recurrence
+computed here from H alone (no sequence pair) as the rows of the matrix
+recurrence
 
     p_{m+1}(H) = H @ p_m(H) - sum(H[m][j] * p_j(H) for j in range(m + 1))
 
 that the slices read (rows 0..2N-m of p_m(H), columns 0..2N, sums over H's
 band only), in integers as q_m = D^m * p_m(H) over one denominator D of the
-entries of H it reads, normalised to Fractions once at the end;
-"recurrence" fills a fixed-k slice scalar by scalar from
-
-    d(n+1,m,k) = d(n,m+1,k) + (H[m][m]-H[n][n]) d(n,m,k)
-                 + sum(H[m][j] d(n,j,k) for j in range(m))
-                 - sum(H[n][j] d(j,m,k) for j in range(n))
-
-using the symmetry d(m,j,k) = d(j,m,k) for the last sum.  The slices satisfy
-four structural identities (validated on the direct route, on q):
+entries of H it reads, normalised to Fractions once at the end.  The scalar
+recurrence for a fixed-k slice, which restates the same object, is an oracle
+in crosscheck.  The slices satisfy four structural identities (validated on
+q):
 
     d(n,m,k) = d(m,n,k);  d = 0 if n+m < k;  d = 1 if n+m = k;
     d(0,m,k) = 1 if m == k else 0.
@@ -45,12 +40,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .errors import PolyseqError, PropertyViolationError, StructureError, WindowError
+from .errors import PropertyViolationError, StructureError, WindowError
 from .matrix import TruncMatrix, lower_bandwidth, poly_of_matrix
 from .polynomial import Polynomial
-from .sequences import SequencePair, check_unit_hessenberg
+from .sequences import SequencePair, check_unit_hessenberg, integer_band
 
 
 @dataclass(frozen=True)
@@ -92,6 +86,18 @@ def linearize_with_w(pair: SequencePair, w: Polynomial, n: int) -> list:
     if n >= wh.exact_rows:
         raise WindowError(required, pair.size, f"row {n} of w(H)")
     return list(wh.rows[n][: n + deg + 1])
+
+
+def check_h_window(h: TruncMatrix, n_max: int, what: str) -> None:
+    """A linearization to n_max reads rows 0..2*n_max-1 of H: demand a
+    truncation of required_size(n_max) whose certificate covers them."""
+    required = required_size(n_max)
+    if h.size < required:
+        raise WindowError(required, h.size, f"{what}(n_max={n_max})")
+    if h.exact_rows < 2 * n_max:
+        raise WindowError(
+            2 * n_max, h.exact_rows, f"{what}(n_max={n_max}) on exact rows of H"
+        )
 
 
 def _check_d_properties(q, powers, n_max: int) -> None:
@@ -136,8 +142,9 @@ def lin_tensor_direct(h: TruncMatrix | SequencePair, n_max: int) -> LinTensor:
 
     with j running over H's band in the first sum (up to the unit entry at
     j = i+1) and over j <= m in the second.  It needs rows up to i+1 of p_m,
-    so p_m(H) is computed on rows 0..2N-m only, which all lie inside the
-    exact window of a size >= required_size(n_max) truncation.  With b the
+    so p_m(H) is computed on rows 0..2N-m only, reading rows 0..2N-1 of H;
+    a truncation smaller than required_size(n_max), or one certified on fewer
+    than 2N rows, raises WindowError.  With b the
     lower bandwidth of H, row i of p_m(H) vanishes outside columns
     i-m*b..i+m, so every row fits in columns 0..2N and each sum visits only
     that span.
@@ -155,16 +162,12 @@ def lin_tensor_direct(h: TruncMatrix | SequencePair, n_max: int) -> LinTensor:
     """
     if isinstance(h, SequencePair):
         h = h.H
-    required = required_size(n_max)
-    if h.size < required:
-        raise WindowError(required, h.size, f"lin_tensor_direct(n_max={n_max})")
+    check_h_window(h, n_max, "lin_tensor_direct")
     check_unit_hessenberg(h)
     band = max(lower_bandwidth(h), 0)
     last = 2 * n_max
     # g[i][j - lo_i] = G[i][j] for the band lo_i = max(0, i - band) .. i.
-    read = [h.rows[i][max(0, i - band): i + 1] for i in range(last)]
-    den = lcm(*(v.denominator for row in read for v in row))
-    g = [[v.numerator * (den // v.denominator) for v in row] for row in read]
+    den, g = integer_band(h, last, band)
     powers = [den**m for m in range(n_max + 1)]
     # q[m][i] = row i of q_m on columns 0..2N, for i <= 2N - m.
     q = [[[1 if k == i else 0 for k in range(last + 1)] for i in range(last + 1)]]
@@ -199,49 +202,6 @@ def lin_tensor_direct(h: TruncMatrix | SequencePair, n_max: int) -> LinTensor:
                 if v:
                     slices[k][n][m] = slices[k][m][n] = Fraction(v, powers[m])
     return LinTensor.from_slices(n_max, slices.__getitem__)
-
-
-def lin_tensor_recurrence(h: TruncMatrix, n_max: int, k: int) -> list:
-    """One fixed-k slice, (n_max+1) square, from the scalar recurrence.
-
-    Row n is filled for m up to 2*n_max - n (row n+1 consumes column m+1 of
-    row n, so widths shrink by one per row); the returned square block is
-    checked for symmetry as it completes.
-    """
-    if not 0 <= k <= 2 * n_max:
-        raise PolyseqError(f"k must lie in 0..{2 * n_max}, got {k}")
-    required = required_size(n_max)
-    if h.size < required:
-        raise WindowError(required, h.size, f"lin_tensor_recurrence(n_max={n_max})")
-    check_unit_hessenberg(h)
-    width0 = 2 * n_max
-    rows = [[Fraction(1) if m == k else Fraction(0) for m in range(width0 + 1)]]
-    for n in range(n_max):
-        width = width0 - (n + 1)
-        cur = rows[n]
-        hn = h.rows[n]
-        nxt = []
-        for m in range(width + 1):
-            hm = h.rows[m]
-            v = cur[m + 1] + (hm[m] - hn[n]) * cur[m]
-            for j in range(m):
-                c = hm[j]
-                if c:
-                    v += c * cur[j]
-            for j in range(n):
-                c = hn[j]
-                if c:
-                    v -= c * rows[j][m]
-            nxt.append(v)
-        rows.append(nxt)
-    out = [[rows[n][m] for m in range(n_max + 1)] for n in range(n_max + 1)]
-    for n in range(n_max + 1):
-        for m in range(n):
-            if out[n][m] != out[m][n]:
-                raise PropertyViolationError(
-                    f"slice k={k} lost symmetry at ({n},{m})"
-                )
-    return out
 
 
 def connection_matrix(pair_p: SequencePair, pair_u: SequencePair, m_max: int) -> list:

@@ -61,7 +61,9 @@ class TruncMatrix:
     def _trusted(cls, rows: tuple, index: int, exact_rows: int) -> "TruncMatrix":
         """A block whose caller guarantees what __init__ checks: a square tuple
         of tuples of Fractions, zero above diagonal `index`, and 0 <=
-        exact_rows <= size."""
+        exact_rows <= size.  The results of +, -, scale, mat_mul and
+        lower_tri_inverse are built this way: their entries are Fractions and
+        their zeros above the index hold by construction."""
         m = object.__new__(cls)
         m.rows, m.size, m.index, m.exact_rows = rows, len(rows), index, exact_rows
         return m
@@ -105,16 +107,16 @@ class TruncMatrix:
 
     def __add__(self, other: "TruncMatrix") -> "TruncMatrix":
         _check_sizes(self, other)
-        return TruncMatrix(
-            (tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)),
+        return TruncMatrix._trusted(
+            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)),
             index=min(self.index, other.index),
             exact_rows=min(self.exact_rows, other.exact_rows),
         )
 
     def __sub__(self, other: "TruncMatrix") -> "TruncMatrix":
         _check_sizes(self, other)
-        return TruncMatrix(
-            (tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)),
+        return TruncMatrix._trusted(
+            tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)),
             index=min(self.index, other.index),
             exact_rows=min(self.exact_rows, other.exact_rows),
         )
@@ -124,8 +126,8 @@ class TruncMatrix:
 
     def scale(self, c) -> "TruncMatrix":
         c = Fraction(c)
-        return TruncMatrix(
-            (tuple(c * v for v in row) for row in self.rows),
+        return TruncMatrix._trusted(
+            tuple(tuple(c * v for v in row) for row in self.rows),
             index=self.index,
             exact_rows=self.exact_rows,
         )
@@ -227,9 +229,9 @@ def mat_mul(a: TruncMatrix, b: TruncMatrix) -> TruncMatrix:
                     if bv:
                         acc += av * bv
             row[k] = acc
-        out.append(row)
+        out.append(tuple(row))
     er = product_exact_rows(a.exact_rows, ia, b.exact_rows, t)
-    return TruncMatrix(out, index=ia + ib, exact_rows=er)
+    return TruncMatrix._trusted(tuple(out), index=ia + ib, exact_rows=er)
 
 
 def product_exact_rows(er_a: int, index_a: int, er_b: int, size: int) -> int:
@@ -303,7 +305,7 @@ def lower_tri_inverse(a: TruncMatrix) -> TruncMatrix:
                         acc += av * bv
             if acc:
                 inv[i][k] = -acc / piv
-    return TruncMatrix(inv, index=0, exact_rows=a.exact_rows)
+    return TruncMatrix._trusted(tuple(map(tuple, inv)), index=0, exact_rows=a.exact_rows)
 
 
 def poly_of_matrix(w: Polynomial, m: TruncMatrix) -> TruncMatrix:

@@ -14,7 +14,8 @@ The fixed-k linearization slice then obeys a four-term scalar recurrence
     d(n+1,m,k) = d(n,m+1,k) + (beta_m - beta_n) d(n,m,k)
                  + alpha_m d(n,m-1,k) - alpha_n d(n-1,m,k)
 
-with out-of-range d treated as zero.  Slice k = 0 is the diagonal matrix of
+with out-of-range d treated as zero (crosscheck.op_lin_recurrence, an
+oracle for lin_tensor_direct).  Slice k = 0 is the diagonal matrix of
 squared norms.
 
 Banded generalization: if H is monic of index -1 with nonzero entries only on
@@ -31,7 +32,6 @@ from typing import Sequence
 
 from .errors import (
     PolyseqError,
-    PropertyViolationError,
     SpecTooShortError,
     StructureError,
     WindowError,
@@ -82,32 +82,19 @@ def op_sequence(rec: ThreeTermRecurrence, size: int) -> SequencePair:
     return build_P_recurrence(h)
 
 
-def op_lin_recurrence(rec: ThreeTermRecurrence, n_max: int, k: int) -> list:
-    """One fixed-k linearization slice from the four-term scalar recurrence."""
-    if not 0 <= k <= 2 * n_max:
-        raise PolyseqError(f"k must lie in 0..{2 * n_max}, got {k}")
-    width0 = 2 * n_max
-    rec.require(max(width0, 1), max(width0 - 1, 0))
-    beta, alpha = rec.beta, rec.alpha
-    rows = [[Fraction(1) if m == k else Fraction(0) for m in range(width0 + 1)]]
-    for n in range(n_max):
-        width = width0 - (n + 1)
-        cur = rows[n]
-        nxt = []
-        for m in range(width + 1):
-            v = cur[m + 1] + (beta[m] - beta[n]) * cur[m]
-            if m >= 1:
-                v += alpha[m - 1] * cur[m - 1]
-            if n >= 1:
-                v -= alpha[n - 1] * rows[n - 1][m]
-            nxt.append(v)
-        rows.append(nxt)
-    out = [[rows[n][m] for m in range(n_max + 1)] for n in range(n_max + 1)]
-    for n in range(n_max + 1):
-        for m in range(n):
-            if out[n][m] != out[m][n]:
-                raise PropertyViolationError(f"slice k={k} lost symmetry at ({n},{m})")
-    return out
+def recurrence_coefficients(h: TruncMatrix):
+    """(beta, alpha) read off a truncation that is orthogonal: tridiagonal
+    with every alpha_k (k = 1..T-1) nonzero.  Raises StructureError at the
+    first entry below the subdiagonal, else ZeroAlphaError at the first zero
+    alpha."""
+    hit = first_below_band(h, 1)
+    if hit is not None:
+        raise StructureError(f"entry ({hit[0]},{hit[1]}) is nonzero; matrix is not tridiagonal")
+    alpha = [h.rows[k][k - 1] for k in range(1, h.size)]
+    for k, a in enumerate(alpha, 1):
+        if a == 0:
+            raise ZeroAlphaError(k)
+    return [h.rows[k][k] for k in range(h.size)], alpha
 
 
 def squared_norms(rec: ThreeTermRecurrence, n_max: int) -> list:

@@ -14,8 +14,8 @@ obeying
 Both are computed that way, in integers: with D the lcm of the denominators
 in H's lower part, row j of A and row j of P are integer vectors over D^j,
 so the pair needs no inverse and no Fraction arithmetic until each entry is
-built once, after the identities A@P = I, A@H = X@A and H@P = P@X have been
-checked on the integer rows.
+built once, after the identities A@P = I and A@H = X@A (which imply H@P =
+P@X) have been checked on the integer rows.
 
 Rows of A are the coefficients of the inverse sequence u_k (the expansion of
 t^k in the p-basis), and column 0 of A lists the moments of the linear
@@ -37,7 +37,7 @@ from .errors import (
     StructureError,
 )
 from .families import FamilyParams, family_tridiagonal
-from .matrix import TruncMatrix, lower_bandwidth, product_exact_rows
+from .matrix import TruncMatrix, lower_bandwidth
 from .polynomial import Polynomial
 
 
@@ -178,36 +178,46 @@ def build_P_recurrence(h: TruncMatrix) -> SequencePair:
         q_P[k+1] = D * t * q_P[k] - sum(G[k][j] * D^(k-j) * q_P[j] for j <= k),
 
     so the pair needs neither an inverse nor Fraction arithmetic.  The
-    identities A@P = I, A@H = X@A and H@P = P@X are checked on the integer
-    rows, over the windows and with the messages of _verify_pair; failure is
+    identities A@P = I and A@H = X@A are checked on the integer rows, over
+    the windows and with the messages of crosscheck._verify_pair; failure is
     a hard internal error.  Only then is each entry built, once, as
-    Fraction(q, D^j), and polys[k] reads row k of P.
+    Fraction(q, D^j), and polys[k] reads row k of P.  Row j of A and of P
+    reads rows 0..j-1 of H, so both are certified on min(T, er(H) + 1) rows.
     """
     check_unit_hessenberg(h)
     t = h.size
     qa, qp, den = _integer_rows(h)
     _check_integer_pair(h, qa, qp, den)
     powers = [den**k for k in range(t)]
+    exact = min(t, h.exact_rows + 1)
     a, p = (
-        TruncMatrix._trusted(_over_powers(q, powers, t), index=0, exact_rows=t)
+        TruncMatrix._trusted(_over_powers(q, powers, t), index=0, exact_rows=exact)
         for q in (qa, qp)
     )
     polys = tuple(Polynomial._trusted(row[: k + 1]) for k, row in enumerate(p.rows))
     return SequencePair(H=h, A=a, P=p, polys=polys)
 
 
+def integer_band(h: TruncMatrix, rows: int, band: int, den: int | None = None):
+    """(D, G): H scaled to integers on rows 0..rows-1 inside its lower band.
+
+    G[i] lists D * H[i][j] as ints for j = max(0, i - band)..i.  D is the lcm
+    of the denominators of those entries unless the caller gives it.
+    """
+    read = [h.rows[i][max(0, i - band): i + 1] for i in range(rows)]
+    if den is None:
+        den = lcm(*(v.denominator for row in read for v in row))
+    return den, [[v.numerator * (den // v.denominator) for v in row] for row in read]
+
+
 def _integer_rows(h: TruncMatrix):
     """(q_A, q_P, D): rows j of A and of P times D^j, as lists of ints over
     columns 0..j, with D the lcm of the denominators of H's lower part."""
     t = h.size
-    lower = [row[: i + 1] for i, row in enumerate(h.rows)]
-    den = lcm(*(v.denominator for row in lower for v in row))
+    den, g = integer_band(h, t, t)
     # g[i] lists (j, G[i][j]) for the nonzero entries of row i on or below
     # the diagonal; G[i][i+1] = D.
-    g = [
-        [(j, v.numerator * (den // v.denominator)) for j, v in enumerate(row) if v]
-        for row in lower
-    ]
+    g = [[(j, c) for j, c in enumerate(row) if c] for row in g]
     qa = [[1]]
     for j in range(t - 1):
         acc = [0] * (j + 2)
@@ -239,12 +249,10 @@ def _over_powers(q, powers, t) -> tuple:
 
 
 def _check_integer_pair(h: TruncMatrix, qa, qp, den: int) -> None:
-    # _verify_pair on A = q_A / D^j and P = q_P / D^j by rows (index 0, exact
-    # on all rows), in integers, with its windows, its order and its messages.
-    # Row i of A@P times D^(2i) is sum(q_A[i][j] * D^(i-j) * q_P[j]); row i
-    # of A@H times D^(i+1) is q_A[i] @ G, where X@A has q_A[i+1]; row i of
-    # H@P times D^(i+1) is sum(G[i][j] * D^(i-j) * q_P[j] for j <= i) +
-    # q_P[i+1], where P@X has D * q_P[i] shifted right.  Entries are dot
+    # crosscheck._verify_pair on A = q_A / D^j and P = q_P / D^j by rows, in
+    # integers, with its windows, its order and its messages.  Row i of A@P
+    # times D^(2i) is sum(q_A[i][j] * D^(i-j) * q_P[j]); row i of A@H times
+    # D^(i+1) is q_A[i] @ G, where X@A has q_A[i+1].  Entries are dot
     # products with columns, which share no loop with the row recurrences.
     t = h.size
     powers = [den**k for k in range(2 * t - 1)]
@@ -255,98 +263,24 @@ def _check_integer_pair(h: TruncMatrix, qa, qp, den: int) -> None:
             if sum(map(mul, arow[k:], pcols[k])) != (powers[2 * i] if k == i else 0):
                 raise PropertyViolationError("A @ P differs from the identity")
     band = lower_bandwidth(h)
-    gcols = [[0] * t for _ in range(t)]
-    for i, row in enumerate(h.rows):
-        for j, v in enumerate(row[: i + 2]):
-            if v:
-                gcols[j][i] = v.numerator * (den // v.denominator)
-    window = min(
-        product_exact_rows(t, 0, h.exact_rows, t),
-        product_exact_rows(t, -1, t, t),  # X is exact with index -1
-    )
-    for i in range(window):
+    gcols = [[0] * t for _ in range(t)]  # gcols[j][i] = G[i][j]
+    for i, row in enumerate(integer_band(h, t, band, den)[1]):
+        for j, c in enumerate(row, max(0, i - band)):
+            gcols[j][i] = c
+        if i + 1 < t:
+            gcols[i + 1][i] = den
+    # A@H and X@A are both certified on min(er(H), T-1) rows.  H@P = P@X is
+    # not checked: on those rows A@P = I and A@H = X@A give H[i] =
+    # sum(P[i][j] * A[j+1]), so (H@P)[i] = (P@X)[i].
+    for i in range(min(h.exact_rows, t - 1)):
         arow, shifted = qa[i], qa[i + 1]
         for k in range(i + 2):
             lo, hi = max(0, k + h.index), min(i, k + band) + 1
             if sum(map(mul, arow[lo:hi], gcols[k][lo:hi])) != shifted[k]:
                 raise PropertyViolationError("A @ H and X @ A disagree on the exact window")
-    window = min(
-        product_exact_rows(h.exact_rows, h.index, t, t),
-        product_exact_rows(t, 0, t, t),
-    )
-    for i in range(window):
-        hrow = [gcols[j][i] * powers[i - j] for j in range(i + 1)]
-        prow, nxt = qp[i], qp[i + 1]
-        for k in range(i + 2):
-            lo = max(0, k, i - band)
-            got = sum(map(mul, hrow[lo:], pcols[k][lo - k:])) + nxt[k]
-            if got != (den * prow[k - 1] if k else 0):
-                raise PropertyViolationError("H @ P and P @ X disagree on the exact window")
     for k in range(t):
         if qp[k][k] != powers[k]:
             raise PropertyViolationError(f"p_{k} is not monic of degree {k}")
-
-
-def _verify_pair(pair: SequencePair) -> None:
-    # The identities A@P = I on the whole block, and A@H = X@A, H@P = P@X on
-    # the rows the product certificates leave exact, as the generic products
-    # would check them, but computed by structure: sums stop at the declared
-    # indices (A and P are lower triangular), row i of X@A is row i+1 of A,
-    # column k of P@X is column k-1 of P, and sums through H visit only its
-    # band.
-    h, a, p = pair.H, pair.A, pair.P
-    t = pair.size
-    if a.size != t or p.size != t:
-        raise StructureError(f"size mismatch: H {t}, A {a.size}, P {p.size}")
-    hr, ar, pr = h.rows, a.rows, p.rows
-    for i in range(t):
-        acc = [0] * t  # row i of A@P
-        for j, c in enumerate(ar[i][: max(0, i - a.index + 1)]):
-            if c:
-                for k, v in enumerate(pr[j][: max(0, j - p.index + 1)]):
-                    if v:
-                        acc[k] += c * v
-        acc[i] -= 1
-        if any(acc):
-            raise PropertyViolationError("A @ P differs from the identity")
-    band = lower_bandwidth(h)
-    window = min(
-        product_exact_rows(a.exact_rows, a.index, h.exact_rows, t),
-        product_exact_rows(t, -1, a.exact_rows, t),  # X is exact with index -1
-    )
-    for i in range(window):
-        arow, shifted = ar[i], ar[i + 1]
-        for k in range(t):
-            lo = max(0, k + h.index)
-            hi = min(t - 1, i - a.index, k + band)
-            if _dot(arow, hr, k, lo, hi) != shifted[k]:
-                raise PropertyViolationError("A @ H and X @ A disagree on the exact window")
-    window = min(
-        product_exact_rows(h.exact_rows, h.index, p.exact_rows, t),
-        product_exact_rows(p.exact_rows, p.index, t, t),
-    )
-    for i in range(window):
-        hrow, prow = hr[i], pr[i]
-        for k in range(t):
-            lo = max(0, k + p.index, i - band)
-            hi = min(t - 1, i - h.index)
-            if _dot(hrow, pr, k, lo, hi) != (prow[k - 1] if k else 0):
-                raise PropertyViolationError("H @ P and P @ X disagree on the exact window")
-    for k, poly in enumerate(pair.polys):
-        if poly.degree != k or not poly.is_monic:
-            raise PropertyViolationError(f"p_{k} is not monic of degree {k}")
-
-
-def _dot(row, rows, k, lo, hi):
-    """sum(row[j] * rows[j][k] for j in lo..hi), skipping zero factors."""
-    acc = 0
-    for j in range(lo, hi + 1):
-        v = row[j]
-        if v:
-            w = rows[j][k]
-            if w:
-                acc += v * w
-    return acc
 
 
 def tau_moments(pair: SequencePair) -> list:

@@ -10,25 +10,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .crosscheck import build_Hhat, build_P_columns
-from .crosscheck import lin_tensor_oracle, recurrence_poly_matrices
-from .linearize import (
-    LinTensor,
-    lin_tensor_direct,
+from .crosscheck import (
+    _verify_pair,
+    build_Hhat,
+    build_P_columns,
+    lin_tensor_oracle,
     lin_tensor_recurrence,
-    required_size,
-    tensors_agree,
+    op_lin_recurrence,
+    recurrence_poly_matrices,
 )
-from .errors import PropertyViolationError
-from .matrix import lower_bandwidth, lower_tri_inverse, make_operator
+from .errors import PropertyViolationError, StructureError, ZeroAlphaError
+from .linearize import LinTensor, lin_tensor_direct, required_size, tensors_agree
+from .matrix import lower_tri_inverse, make_operator
 from .orthogonal import (
     ThreeTermRecurrence,
-    op_lin_recurrence,
     orthogonality_table,
+    recurrence_coefficients,
     squared_norms,
     support_check,
 )
-from .sequences import HSpec, _verify_pair, build_P_recurrence, realize_H
+from .sequences import HSpec, build_P_recurrence, realize_H
 
 
 @dataclass(frozen=True)
@@ -36,16 +37,6 @@ class CheckResult:
     name: str
     ok: bool
     detail: str = ""
-
-
-def _tridiagonal_data(h):
-    """(beta, alpha) if the truncation is tridiagonal, else None."""
-    if lower_bandwidth(h) > 1:
-        return None
-    t = h.size
-    beta = [h.rows[k][k] for k in range(t)]
-    alpha = [h.rows[k][k - 1] for k in range(1, t)]
-    return beta, alpha
 
 
 def run_suite(spec: HSpec, n_max: int, size: int | None = None) -> list:
@@ -117,36 +108,35 @@ def run_suite(spec: HSpec, n_max: int, size: int | None = None) -> list:
     ok = _row_recurrence_holds(pair, mats, n_max)
     record("row-recurrence", ok)
 
-    tri = _tridiagonal_data(h)
-    if tri is not None:
-        beta, alpha = tri
-        if all(v != 0 for v in alpha):
-            rec = ThreeTermRecurrence(beta, alpha)
-            slice0 = op_lin_recurrence(rec, n_max, 0)
-            norms = squared_norms(rec, n_max)
-            ok = all(
-                slice0[n][m] == (norms[n] if n == m else 0)
-                for n in range(n_max + 1)
-                for m in range(n_max + 1)
-            )
-            record("norms-diagonal", ok)
+    try:
+        rec = ThreeTermRecurrence(*recurrence_coefficients(h))
+    except (StructureError, ZeroAlphaError):
+        return results  # the checks below hold for orthogonal H only
+    slice0 = op_lin_recurrence(rec, n_max, 0)
+    norms = squared_norms(rec, n_max)
+    ok = all(
+        slice0[n][m] == (norms[n] if n == m else 0)
+        for n in range(n_max + 1)
+        for m in range(n_max + 1)
+    )
+    record("norms-diagonal", ok)
 
-            four_tensor = LinTensor.from_slices(
-                n_max, lambda k: op_lin_recurrence(rec, n_max, k)
-            )
-            where = tensors_agree(direct, four_tensor)
-            record("direct-vs-four-term", where is None, f"first difference at {where}")
+    four_tensor = LinTensor.from_slices(
+        n_max, lambda k: op_lin_recurrence(rec, n_max, k)
+    )
+    where = tensors_agree(direct, four_tensor)
+    record("direct-vs-four-term", where is None, f"first difference at {where}")
 
-            table = orthogonality_table(pair, n_max)
-            ok = all(
-                table[n][m] == (norms[n] if n == m else 0)
-                for n in range(n_max + 1)
-                for m in range(n_max + 1)
-            )
-            record("orthogonality-table", ok)
+    table = orthogonality_table(pair, n_max)
+    ok = all(
+        table[n][m] == (norms[n] if n == m else 0)
+        for n in range(n_max + 1)
+        for m in range(n_max + 1)
+    )
+    record("orthogonality-table", ok)
 
-            ok, where = support_check(direct)
-            record("support-bound", ok, f"violation at {where}" if not ok else "")
+    ok, where = support_check(direct)
+    record("support-bound", ok, f"violation at {where}" if not ok else "")
 
     return results
 

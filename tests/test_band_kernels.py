@@ -45,7 +45,8 @@ from polyseq import (
 )
 from polyseq import sequences
 from polyseq.linearize import _check_d_properties
-from polyseq.sequences import _check_integer_pair, _integer_rows, _verify_pair
+from polyseq.crosscheck import _verify_pair
+from polyseq.sequences import _check_integer_pair, _integer_rows
 from tests.conftest import rand_fraction, rand_hessenberg_rows, rand_nonzero_fraction
 from tests.test_linearize import recurrence_tensor
 
@@ -612,6 +613,44 @@ def test_build_checks_the_unit_superdiagonal_before_any_arithmetic(monkeypatch, 
         build_P_recurrence(h)
     assert str(got.value) == str(expected.value)
     assert f"entry ({entry[0]},{entry[1]})" in str(got.value)
+
+
+# -- H's certificate ----------------------------------------------------------------
+
+def charlier_h(t=8, exact_rows=None, bump=None):
+    """charlier a=3/7 at size t, certified on exact_rows rows, with 1 added
+    to entry (bump, 0) when bump is given."""
+    h = realize_H(HSpec.from_family(FamilyParams("charlier", F(3, 7))), t)
+    if bump is not None:
+        h = with_entry(h, bump, 0, h.rows[bump][0] + 1)
+    return TruncMatrix(h.rows, index=-1, exact_rows=t if exact_rows is None else exact_rows)
+
+
+def test_pair_certificate_follows_h():
+    # Row j of A and P reads rows 0..j-1 of H: an H changed in row er (its
+    # first uncertified row) changes rows er+1.. only.
+    t = 8
+    exact = build_P_recurrence(charlier_h(t))
+    for er in range(t):
+        pair = build_P_recurrence(charlier_h(t, er, bump=er))
+        cert = min(t, er + 1)
+        assert pair.A.exact_rows == pair.P.exact_rows == cert
+        assert pair.P.rows[:cert] == exact.P.rows[:cert]
+        assert pair.A.rows[:cert] == exact.A.rows[:cert]
+        if cert < t:
+            assert pair.P.rows[cert] != exact.P.rows[cert]
+
+
+@pytest.mark.parametrize("kernel", [lin_tensor_direct, recurrence_tensor],
+                         ids=["direct", "recurrence"])
+def test_linearization_needs_h_certified_on_the_rows_it_reads(kernel):
+    # n_max = 3 reads rows 0..5 of H: row 6 may be wrong, row 5 may not.
+    n_max, t = 3, 8
+    exact = kernel(charlier_h(t), n_max)
+    assert kernel(charlier_h(t, 2 * n_max, bump=2 * n_max), n_max) == exact
+    for er in (2, 2 * n_max - 1):
+        with pytest.raises(WindowError, match="on exact rows of H"):
+            kernel(charlier_h(t, er), n_max)
 
 
 # -- closed forms at N = 40 ---------------------------------------------------------

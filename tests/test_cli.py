@@ -435,3 +435,26 @@ def test_connect_verify_failure_still_writes_the_payload(tmp_path, cheb_spec, he
     blob = read_json(str(out))
     assert blob["inverse_check"] is False
     assert blob["connection"]["m_max"] == 3
+
+
+def test_verbose_is_a_subcommand_flag(tmp_path, cheb_spec, capsys):
+    out = tmp_path / "build.json"
+    with pytest.raises(SystemExit) as err:
+        cli.main(["--verbose", "build", "--h-spec", cheb_spec, "--size", "4",
+                  "--out", str(out)])
+    assert err.value.code == 2
+    assert not out.exists()
+    capsys.readouterr()
+    assert cli.main(["build", "--h-spec", cheb_spec, "--size", "4", "--out", str(out),
+                     "--verbose"]) == 0
+    assert f"wrote {out}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("method", ["recurrence", "oracle"])
+def test_linearize_runs_the_alternate_routes_only_inside_all(tmp_path, cheb_spec, method):
+    out = tmp_path / "lin.json"
+    with pytest.raises(SystemExit) as err:
+        cli.main(["linearize", "--h-spec", cheb_spec, "--n-max", "2", "--method", method,
+                  "--out", str(out)])
+    assert err.value.code == 2
+    assert not out.exists()

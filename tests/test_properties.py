@@ -161,6 +161,30 @@ def test_expansion_reconstructs(target, lower):
     assert rebuilt == target
 
 
+@st.composite
+def indexed_matrix(draw, size):
+    """A size x size block with a drawn index (zeros above it) and certificate."""
+    index = draw(st.integers(-2, 2))
+    rows = [[draw(small_fraction) if i - k >= index else F(0) for k in range(size)]
+            for i in range(size)]
+    return TruncMatrix(rows, index=index, exact_rows=draw(st.integers(0, size)))
+
+
+@given(st.integers(1, 5).flatmap(lambda t: st.tuples(indexed_matrix(t), indexed_matrix(t))),
+       small_fraction, st.integers(1, 5).flatmap(lower_triangular))
+@settings(max_examples=80, deadline=None)
+def test_internal_results_pass_the_checked_constructor(operands, c, low):
+    # Sums, scalings, products and inverses skip __init__'s re-wrap and
+    # index scan; each must be what __init__ would have built.
+    a, b = operands
+    for r in (a + b, a - b, a.scale(c), -a, a @ b, lower_tri_inverse(low)):
+        checked = TruncMatrix(r.rows, r.index, r.exact_rows)
+        assert (checked.rows, checked.index, checked.exact_rows) == (
+            r.rows, r.index, r.exact_rows)
+        assert type(r.rows) is tuple and all(type(row) is tuple for row in r.rows)
+        assert all(type(v) is F for row in r.rows for v in row)
+
+
 # -- serialization ----------------------------------------------------------------------
 
 @given(small_fraction)
