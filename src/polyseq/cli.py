@@ -170,20 +170,20 @@ def _cmd_connect(args) -> int:
         required_size(args.m_max) if args.verify else 0,
     )
     size = _resolve_size(args.size, required, f"connect m_max={args.m_max}")
-    pair_p = build_P_recurrence(realize_H(p_spec, size))
-    pair_u = build_P_recurrence(realize_H(u_spec, size))
+    # C, d and the inverse check read H_p and H_u alone: no P or A is built
+    h_p, h_u = realize_H(p_spec, size), realize_H(u_spec, size)
     _progress(args, f"connection m_max={args.m_max} at T={size}")
     # one C_pu serves the connection output and the mixed sum
     span = max(args.m_max, 2 * args.mixed if args.mixed is not None else 0)
-    c_pu = connection_matrix(pair_p, pair_u, span)
+    c_pu = connection_matrix(h_p, h_u, span)
     conn = [row[: args.m_max + 1] for row in c_pu[: args.m_max + 1]]
     payload = {"connection": connection_to_jsonable(args.m_max, conn)}
     if args.mixed is not None:
-        d = lin_tensor_direct(pair_p, args.mixed)
+        d = lin_tensor_direct(h_p, args.mixed)
         payload["mixed"] = tensor_to_jsonable(_mixed_sum(d, c_pu))
     ok = True
     if args.verify:
-        ok, where = verify_inverse_connection(pair_p, pair_u, args.m_max)
+        ok, where = verify_inverse_connection(h_p, h_u, args.m_max)
         payload["inverse_check"] = bool(ok)
     write_json(args.out, payload)  # written even when the check fails, for inspection
     if not ok:

@@ -4,7 +4,7 @@ Each output has one production kernel; each route here recomputes one of
 them another way:
 
 - build_A_rows: A from row_0 = e_0, row_{j+1} = row_j @ H in Fractions, the
-  twin of the production pair's integer rows; the inverse of P (from
+  twin of the production kernel's integer run for A; the inverse of P (from
   matrix.lower_tri_inverse) is A's oracle in `verify`.
 - build_Hhat, build_P_columns: the right inverse Hhat = Xhat @ (H@Xhat)^{-1}
   satisfies H@Hhat = I and P@Xhat = Hhat@P, which yields P column by
@@ -12,8 +12,10 @@ them another way:
   col_{k+1} = Hhat @ col_k.
 - _verify_pair: the pair's identities A@P = I, A@H = X@A and H@P = P@X as
   generic products, the oracle of build_P_recurrence's integer check.
-- recurrence_poly_matrices: the full matrices p_m(M).  Row n of p_m(H) is
-  d(n,m,.) (lin_tensor_direct); row 0 of p_m(K) is C[m] (connection_matrix).
+- recurrence_poly_matrices: the full matrices p_m(M), by generic products.
+  Production runs single rows of them (sequences.poly_rows): row n of
+  p_m(H) is d(n,m,.) (lin_tensor_direct), row 0 of p_m(K) is C[m]
+  (connection_matrix).
 - lin_tensor_recurrence: a fixed-k slice of d scalar by scalar from H.
 - op_lin_recurrence: the same slice from the four-term recurrence of an
   orthogonal sequence, stated on its (beta, alpha) alone.

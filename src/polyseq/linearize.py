@@ -9,17 +9,17 @@ Taking w = p_m gives the linearization coefficients
 
     d(n, m, k) = p_m(H)[n][k],       p_n * p_m = sum_k d(n,m,k) p_k,
 
-computed here from H alone (no sequence pair) as the rows of the matrix
-recurrence
+computed here from H alone (no sequence pair).  p_m(H) commutes with H, so
+row n of p_m(H) obeys a recurrence on row vectors alone:
 
-    p_{m+1}(H) = H @ p_m(H) - sum(H[m][j] * p_j(H) for j in range(m + 1))
+    row_n p_{m+1}(H) = row_n p_m(H) @ H - sum(H[m][j] * row_n p_j(H) for j <= m),
 
-that the slices read (rows 0..2N-m of p_m(H), columns 0..2N, sums over H's
-band only), in integers as q_m = D^m * p_m(H) over one denominator D of the
-entries of H it reads, normalised to Fractions once at the end.  The scalar
+started at e_n.  That is sequences.poly_rows, the library's one row kernel,
+run in integers over one denominator D of the entries of H it reads, once
+for each n <= N, and normalised to Fractions once at the end.  The scalar
 recurrence for a fixed-k slice, which restates the same object, is an oracle
 in crosscheck.  The slices satisfy four structural identities (validated on
-q):
+the integer rows):
 
     d(n,m,k) = d(m,n,k);  d = 0 if n+m < k;  d = 1 if n+m = k;
     d(0,m,k) = 1 if m == k else 0.
@@ -31,9 +31,9 @@ p_n * p_m in the u-basis:
 
 and row 0 of p_m(K) alone gives the connection coefficients p_m = sum_k
 C[m][k] u_k, a unit lower triangular change of basis whose two directions
-multiply to the identity.  Row 0 of K^j is row j of A_u (t^j in the u-basis),
-so C = P_p @ A_u, one product of unit lower triangular matrices: that is how
-C is computed here, with row 0 of p_m(K) as its test oracle.
+multiply to the identity.  C is the same kernel again, with p's recurrence
+at K = H_u and start e_0; no sequence pair is built.  Row 0 of K^j is row j
+of A_u, so C = P_p @ A_u, which the tests keep as an oracle.
 """
 
 from __future__ import annotations
@@ -42,9 +42,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PropertyViolationError, StructureError, WindowError
-from .matrix import TruncMatrix, lower_bandwidth, poly_of_matrix
+from .matrix import TruncMatrix, poly_of_matrix
 from .polynomial import Polynomial
-from .sequences import SequencePair, check_unit_hessenberg, integer_band
+from .sequences import SequencePair, check_unit_hessenberg, integer_band, poly_rows
+
+
+def _h(h):
+    """The truncation H: a SequencePair stands for its H."""
+    return h.H if isinstance(h, SequencePair) else h
 
 
 @dataclass(frozen=True)
@@ -76,15 +81,18 @@ def required_size(n_max: int, m_max: int = None) -> int:
     return n_max + m_max + 2
 
 
-def linearize_with_w(pair: SequencePair, w: Polynomial, n: int) -> list:
-    """Coefficients of p_n * w in the p-basis: row n of w(H), length n+deg+1."""
+def linearize_with_w(h, w: Polynomial, n: int) -> list:
+    """Coefficients of p_n * w in the p-basis: row n of w(H), length n+deg+1.
+
+    h is H (a SequencePair stands for its H)."""
+    h = _h(h)
     deg = max(w.degree, 0)
     required = n + deg + 2
-    if pair.size < required:
-        raise WindowError(required, pair.size, f"linearize_with_w(n={n}, deg={deg})")
-    wh = poly_of_matrix(w, pair.H)
+    if h.size < required:
+        raise WindowError(required, h.size, f"linearize_with_w(n={n}, deg={deg})")
+    wh = poly_of_matrix(w, h)
     if n >= wh.exact_rows:
-        raise WindowError(required, pair.size, f"row {n} of w(H)")
+        raise WindowError(required, h.size, f"row {n} of w(H)")
     return list(wh.rows[n][: n + deg + 1])
 
 
@@ -133,65 +141,27 @@ def _check_d_properties(q, powers, n_max: int) -> None:
 
 
 def lin_tensor_direct(h: TruncMatrix | SequencePair, n_max: int) -> LinTensor:
-    """All slices k = 0..2*n_max from the rows of p_m(H) that they read.
+    """All slices k = 0..2*n_max: d(n,m,k) = p_m(H)[n][k] for n, m <= N = n_max.
 
-    h is the truncation H (a SequencePair stands for its H).  d(n,m,k) =
-    p_m(H)[n][k] for n, m <= N = n_max.  Row i of p_{m+1}(H) is
-
-        sum(H[i][j] * row j of p_m(H))  -  sum(H[m][j] * row i of p_j(H))
-
-    with j running over H's band in the first sum (up to the unit entry at
-    j = i+1) and over j <= m in the second.  It needs rows up to i+1 of p_m,
-    so p_m(H) is computed on rows 0..2N-m only, reading rows 0..2N-1 of H;
-    a truncation smaller than required_size(n_max), or one certified on fewer
-    than 2N rows, raises WindowError.  With b the
-    lower bandwidth of H, row i of p_m(H) vanishes outside columns
-    i-m*b..i+m, so every row fits in columns 0..2N and each sum visits only
-    that span.
-
-    The arithmetic is in integers.  With D the lcm of the denominators of
-    the entries of H read (rows 0..2N-1, inside the band) and G = D*H, the
-    rows of q_m = D^m * p_m(H) obey
-
-        q_{m+1}[i] = sum(G[i][j] * q_m[j]) + D * q_m[i+1]
-                     - sum(G[m][j] * D^(m-j) * q_j[i] for j <= m),
-
-    the slice identities are checked on q, and each entry is normalised
-    once, as Fraction(q, D^m).  The entries equal those of
-    crosscheck.recurrence_poly_matrices(H, H, N).
+    h is the truncation H (a SequencePair stands for its H).  One run of
+    sequences.poly_rows from e_n gives row n of p_0(H)..p_N(H), in integers
+    as q[m][n] = D^m * row n of p_m(H), with D the lcm of the denominators
+    of the entries read.  The runs read rows 0..2N-1 of H; a truncation
+    smaller than required_size(n_max), or one certified on fewer than 2N
+    rows, raises WindowError.  The slice identities are checked on q,
+    symmetry as the runs from e_n and e_m against each other, and each
+    entry is normalised once, as Fraction(q, D^m).  The entries equal those
+    of crosscheck.recurrence_poly_matrices(H, H, N).
     """
-    if isinstance(h, SequencePair):
-        h = h.H
+    h = _h(h)
     check_h_window(h, n_max, "lin_tensor_direct")
     check_unit_hessenberg(h)
-    band = max(lower_bandwidth(h), 0)
     last = 2 * n_max
-    # g[i][j - lo_i] = G[i][j] for the band lo_i = max(0, i - band) .. i.
-    den, g = integer_band(h, last, band)
+    den, (g,) = integer_band(last, h)
     powers = [den**m for m in range(n_max + 1)]
-    # q[m][i] = row i of q_m on columns 0..2N, for i <= 2N - m.
-    q = [[[1 if k == i else 0 for k in range(last + 1)] for i in range(last + 1)]]
-    for m in range(n_max):
-        cur = q[m]
-        lower = [(j, c * powers[m - j], q[j]) for j, c in enumerate(g[m], max(0, m - band)) if c]
-        nxt = []
-        for i in range(last - m):
-            acc = [den * v for v in cur[i + 1]]  # G[i][i+1] = D
-            for j, c in enumerate(g[i], max(0, i - band)):
-                if c:
-                    row = cur[j]
-                    for k in range(max(0, j - m * band), min(last, j + m) + 1):
-                        v = row[k]
-                        if v:
-                            acc[k] += c * v
-            for j, c, qj in lower:
-                row = qj[i]
-                for k in range(max(0, i - j * band), min(last, i + j) + 1):
-                    v = row[k]
-                    if v:
-                        acc[k] -= c * v
-            nxt.append(acc)
-        q.append(nxt)
+    runs = [poly_rows(g, g, den, n_max + 1, start=n) for n in range(n_max + 1)]
+    # q[m][n] = row n of q_m on columns 0..2N
+    q = [[run[m] + [0] * (last - n - m) for n, run in enumerate(runs)] for m in range(n_max + 1)]
     _check_d_properties(q, powers, n_max)
     # d(n,m,k) = d(m,n,k): one Fraction serves both places.
     zero = Fraction(0)
@@ -204,48 +174,53 @@ def lin_tensor_direct(h: TruncMatrix | SequencePair, n_max: int) -> LinTensor:
     return LinTensor.from_slices(n_max, slices.__getitem__)
 
 
-def connection_matrix(pair_p: SequencePair, pair_u: SequencePair, m_max: int) -> list:
-    """C with p_m = sum_k C[m][k] u_k: C = P_p @ A_u on rows 0..m_max of both."""
+def connection_matrix(p, u, m_max: int) -> list:
+    """C with p_m = sum_k C[m][k] u_k, for m, k <= m_max: C[m] is row 0 of p_m(H_u).
+
+    p and u are H_p and H_u (a SequencePair stands for its H).  One run of
+    sequences.poly_rows from e_0, with p's recurrence at K = H_u, gives C in
+    integers over one D for both.  It reads rows 0..m_max-1 of H_p and of
+    H_u, so each must be certified on them; handed two pairs, it also
+    demands that P_p and A_u be certified on rows 0..m_max (C = P_p @ A_u).
+    Either shortfall raises WindowError.
+    """
     required = m_max + 2
-    if pair_p.size < required or pair_u.size < required:
+    hp, hu = _h(p), _h(u)
+    if hp.size < required or hu.size < required:
+        raise WindowError(required, min(hp.size, hu.size), f"connection_matrix(m_max={m_max})")
+    if hp.size != hu.size:
+        raise StructureError(f"size mismatch: {hp.size} vs {hu.size}")
+    if isinstance(p, SequencePair) and isinstance(u, SequencePair):
+        exact = min(p.P.exact_rows, u.A.exact_rows, m_max + 1)
+        if exact <= m_max:
+            raise WindowError(
+                m_max + 1, exact, f"connection_matrix(m_max={m_max}) on exact rows of P_p, A_u"
+            )
+    exact = min(hp.exact_rows, hu.exact_rows)
+    if exact < m_max:
         raise WindowError(
-            required, min(pair_p.size, pair_u.size), f"connection_matrix(m_max={m_max})"
+            m_max, exact, f"connection_matrix(m_max={m_max}) on exact rows of H_p, H_u"
         )
-    if pair_p.size != pair_u.size:
-        raise StructureError(
-            f"size mismatch: {pair_p.size} vs {pair_u.size}"
-        )
-    n = m_max + 1
-    exact = min(pair_p.P.exact_rows, pair_u.A.exact_rows, n)
-    if exact < n:
-        raise WindowError(
-            n, exact, f"connection_matrix(m_max={m_max}) on exact rows of P_p, A_u"
-        )
-    # C[m][k] = sum(P_p[m][j] * A_u[j][k] for j in k..m): both are lower triangular.
-    a_rows, zero = pair_u.A.rows, Fraction(0)
-    conn = []
-    for m, prow in enumerate(pair_p.P.rows[:n]):
-        row = [zero] * n
-        for j, c in enumerate(prow[: m + 1]):
-            if c:
-                for k, v in enumerate(a_rows[j][: j + 1]):
-                    if v:
-                        row[k] += c * v
-        conn.append(row)
-    return conn
+    check_unit_hessenberg(hp)
+    check_unit_hessenberg(hu)
+    den, (gp, gu) = integer_band(m_max, hp, hu)
+    zero, powers = Fraction(0), [den**m for m in range(m_max + 1)]
+    return [
+        [Fraction(v, powers[m]) if v else zero for v in row] + [zero] * (m_max - m)
+        for m, row in enumerate(poly_rows(gp, gu, den, m_max + 1))
+    ]
 
 
-def mixed_tensor(pair_p: SequencePair, pair_u: SequencePair, n_max: int) -> LinTensor:
-    """e(n,m,k): products from the p-sequence expanded in the u-basis."""
+def mixed_tensor(p, u, n_max: int) -> LinTensor:
+    """e(n,m,k): products from the p-sequence expanded in the u-basis.
+
+    p and u are H_p and H_u (a SequencePair stands for its H)."""
     required = required_size(n_max)
-    if pair_p.size != pair_u.size:
-        raise StructureError(
-            f"size mismatch: {pair_p.size} vs {pair_u.size}"
-        )
-    if pair_p.size < required:
-        raise WindowError(required, pair_p.size, f"mixed_tensor(n_max={n_max})")
-    d = lin_tensor_direct(pair_p, n_max)
-    return _mixed_sum(d, connection_matrix(pair_p, pair_u, 2 * n_max))
+    if p.size != u.size:
+        raise StructureError(f"size mismatch: {p.size} vs {u.size}")
+    if p.size < required:
+        raise WindowError(required, p.size, f"mixed_tensor(n_max={n_max})")
+    return _mixed_sum(lin_tensor_direct(p, n_max), connection_matrix(p, u, 2 * n_max))
 
 
 def _mixed_sum(d: LinTensor, c) -> LinTensor:
@@ -269,13 +244,17 @@ def _mixed_sum(d: LinTensor, c) -> LinTensor:
     return LinTensor.from_slices(n_max, mixed_slice)
 
 
-def verify_inverse_connection(pair_p: SequencePair, pair_u: SequencePair, m_max: int):
+def verify_inverse_connection(p, u, m_max: int):
     """Check the two connection directions multiply to the identity.
 
-    Returns (True, None) or (False, (m, n)) for the first violating entry.
+    p and u are H_p and H_u (a SequencePair stands for its H).  C_pu and
+    C_up come from two independent runs of the row recurrence, one with
+    p's recurrence at H_u and one with u's at H_p, and their product is
+    formed in Fractions.  Returns (True, None) or (False, (m, n)) for the
+    first violating entry.
     """
-    c_pu = connection_matrix(pair_p, pair_u, m_max)
-    c_up = connection_matrix(pair_u, pair_p, m_max)
+    c_pu = connection_matrix(p, u, m_max)
+    c_up = connection_matrix(u, p, m_max)
     for m in range(m_max + 1):
         for n in range(m_max + 1):
             acc = Fraction(0)

@@ -135,9 +135,6 @@ class TruncMatrix:
     def __matmul__(self, other: "TruncMatrix") -> "TruncMatrix":
         return mat_mul(self, other)
 
-    def transpose(self) -> "TruncMatrix":
-        return transpose(self)
-
 
 def _check_sizes(a: TruncMatrix, b: TruncMatrix) -> None:
     if a.size != b.size:
@@ -260,19 +257,6 @@ def first_below_band(a: TruncMatrix, band: int):
         if i - j > band:
             return i, j
     return None
-
-
-def transpose(a: TruncMatrix) -> TruncMatrix:
-    """Transpose; index flips sign.
-
-    A fully exact block transposes to a fully exact block.  A partially exact
-    one has per-column guarantees that do not fit the row certificate, so the
-    certificate collapses conservatively.
-    """
-    t = a.size
-    rows = tuple(tuple(a.rows[j][i] for j in range(t)) for i in range(t))
-    er = t if a.exact_rows == t else 0
-    return TruncMatrix(rows, index=-a.index, exact_rows=er)
 
 
 def lower_tri_inverse(a: TruncMatrix) -> TruncMatrix:

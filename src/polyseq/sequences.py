@@ -11,11 +11,12 @@ obeying
 
     p_{k+1}(t) = t*p_k(t) - sum(H[k][j] * p_j(t) for j in range(k + 1)).
 
-Both are computed that way, in integers: with D the lcm of the denominators
-in H's lower part, row j of A and row j of P are integer vectors over D^j,
-so the pair needs no inverse and no Fraction arithmetic until each entry is
-built once, after the identities A@P = I and A@H = X@A (which imply H@P =
-P@X) have been checked on the integer rows.
+Both are computed that way, in integers over D^j (D the lcm of the
+denominators in H's lower part), by poly_rows, the library's one row
+kernel: row m of A is row 0 of H^m and row m of P is row 0 of p_m(X), and
+linearize reads d and C off the same kernel.  Each entry becomes a Fraction
+once, after A@P = I and A@H = X@A (which imply H@P = P@X) have been checked
+on the integer rows by code that shares nothing with the kernel.
 
 Rows of A are the coefficients of the inverse sequence u_k (the expansion of
 t^k in the p-basis), and column 0 of A lists the moments of the linear
@@ -133,13 +134,13 @@ def _rows_matrix(data, size) -> TruncMatrix:
 
 
 def check_unit_hessenberg(h: TruncMatrix) -> None:
-    """Require ones on the superdiagonal and zeros above it."""
+    """Require ones on the superdiagonal and zeros above it, up to h.index."""
     t = h.size
     for i in range(t):
         row = h.rows[i]
         if i + 1 < t and row[i + 1] != 1:
             raise StructureError(f"entry ({i},{i + 1}) must be 1, got {row[i + 1]}")
-        for j in range(i + 2, t):
+        for j in range(i + 2, min(t, i + 1 - h.index)):  # zero past its index
             if row[j] != 0:
                 raise StructureError(f"entry ({i},{j}) must be 0, got {row[j]}")
 
@@ -171,12 +172,8 @@ def build_P_recurrence(h: TruncMatrix) -> SequencePair:
     """The full sequence pair for a monic Hessenberg truncation, in integers.
 
     With D the lcm of the denominators of H's entries on and below the
-    diagonal and G = D*H, row j of A and row j of P are integer vectors over
-    D^j.  The rows q_A[j] = D^j * row_j(A) and q_P[k] = D^k * p_k obey
-
-        q_A[j+1] = q_A[j] @ G,
-        q_P[k+1] = D * t * q_P[k] - sum(G[k][j] * D^(k-j) * q_P[j] for j <= k),
-
+    diagonal, the rows q_A[j] = D^j * row_j(A) and q_P[k] = D^k * p_k are
+    integer vectors, two runs of poly_rows (t^m at K = H, and p_m at K = X),
     so the pair needs neither an inverse nor Fraction arithmetic.  The
     identities A@P = I and A@H = X@A are checked on the integer rows, over
     the windows and with the messages of crosscheck._verify_pair; failure is
@@ -198,45 +195,58 @@ def build_P_recurrence(h: TruncMatrix) -> SequencePair:
     return SequencePair(H=h, A=a, P=p, polys=polys)
 
 
-def integer_band(h: TruncMatrix, rows: int, band: int, den: int | None = None):
-    """(D, G): H scaled to integers on rows 0..rows-1 inside its lower band.
+def integer_band(rows: int, *hs: TruncMatrix, den: int | None = None):
+    """(D, [G, ...]): each H's lower part on rows 0..rows-1, in ints over one D.
 
-    G[i] lists D * H[i][j] as ints for j = max(0, i - band)..i.  D is the lcm
-    of the denominators of those entries unless the caller gives it.
+    G[i] lists (j, D * H[i][j]) for the nonzero entries j <= i of row i; the
+    unit superdiagonal is left implied.  D is the lcm of the denominators of
+    the entries read, in every H, unless the caller gives it.
     """
-    read = [h.rows[i][max(0, i - band): i + 1] for i in range(rows)]
+    read = [[h.rows[i][: i + 1] for i in range(rows)] for h in hs]
     if den is None:
-        den = lcm(*(v.denominator for row in read for v in row))
-    return den, [[v.numerator * (den // v.denominator) for v in row] for row in read]
+        den = lcm(*(v.denominator for r in read for row in r for v in row))
+    return den, [
+        [[(j, v.numerator * (den // v.denominator)) for j, v in enumerate(row) if v] for row in r]
+        for r in read
+    ]
+
+
+def poly_rows(gp, gk, den: int, count: int, start: int = 0) -> list:
+    """q[m] = D^m * (row `start` of p_m(K)) on columns 0..start+m, m < count.
+
+    p follows H_p's recurrence and K is monic Hessenberg; gp and gk are the
+    lower parts of D*H_p and D*K from integer_band (X's rows are empty), and
+    K's unit superdiagonal is implied.  p_m(K) commutes with K, so
+
+        q[m+1] = q[m] @ (D*K) - sum(G_p[m][j] * D^(m-j) * q[j] for j <= m),
+
+    from q[0] = e_start, reading rows 0..count-2 of gp, 0..start+count-2 of gk.
+    """
+    powers = [den**k for k in range(count)]
+    q = [[0] * start + [1]]
+    for m in range(count - 1):
+        acc = [0] * (start + m + 2)
+        for i, v in enumerate(q[m]):
+            if v:
+                acc[i + 1] += den * v
+                for j, c in gk[i]:
+                    acc[j] += c * v
+        for j, c in gp[m]:
+            c *= powers[m - j]
+            for i, v in enumerate(q[j]):
+                if v:
+                    acc[i] -= c * v
+        q.append(acc)
+    return q
 
 
 def _integer_rows(h: TruncMatrix):
     """(q_A, q_P, D): rows j of A and of P times D^j, as lists of ints over
     columns 0..j, with D the lcm of the denominators of H's lower part."""
     t = h.size
-    den, g = integer_band(h, t, t)
-    # g[i] lists (j, G[i][j]) for the nonzero entries of row i on or below
-    # the diagonal; G[i][i+1] = D.
-    g = [[(j, c) for j, c in enumerate(row) if c] for row in g]
-    qa = [[1]]
-    for j in range(t - 1):
-        acc = [0] * (j + 2)
-        for i, a in enumerate(qa[j]):
-            if a:
-                acc[i + 1] += a * den
-                for k, c in g[i]:
-                    acc[k] += a * c
-        qa.append(acc)
-    qp = [[1]]
-    for k in range(t - 1):
-        acc = [0] + [den * v for v in qp[k]]
-        for j, c in g[k]:
-            c *= den ** (k - j)
-            for i, v in enumerate(qp[j]):
-                if v:
-                    acc[i] -= c * v
-        qp.append(acc)
-    return qa, qp, den
+    den, (g,) = integer_band(t, h)
+    x = [()] * t
+    return poly_rows(x, g, den, t), poly_rows(g, x, den, t), den
 
 
 def _over_powers(q, powers, t) -> tuple:
@@ -264,8 +274,8 @@ def _check_integer_pair(h: TruncMatrix, qa, qp, den: int) -> None:
                 raise PropertyViolationError("A @ P differs from the identity")
     band = lower_bandwidth(h)
     gcols = [[0] * t for _ in range(t)]  # gcols[j][i] = G[i][j]
-    for i, row in enumerate(integer_band(h, t, band, den)[1]):
-        for j, c in enumerate(row, max(0, i - band)):
+    for i, row in enumerate(integer_band(t, h, den=den)[1][0]):
+        for j, c in row:
             gcols[j][i] = c
         if i + 1 < t:
             gcols[i + 1][i] = den

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -458,3 +459,48 @@ def test_linearize_runs_the_alternate_routes_only_inside_all(tmp_path, cheb_spec
                   "--out", str(out)])
     assert err.value.code == 2
     assert not out.exists()
+
+
+# -- connect reads H alone; verify reports a kernel whose self-check fails -------------
+
+@pytest.mark.parametrize("p, u, m_max, mixed, digest", [
+    ("cheb", "herm", 5, 2, "e9683ca5696943b84763806c5902035d6b5750443979fd9f5e35e92369dc7019"),
+    ("rows", "herm", 3, 3, "7ccfcfbf36ce373f2793ce010ff94a9d5fd35ef36a52b10e92c22f854c7ed5c5"),
+    ("herm", "rows", 3, 3, "04b5ca39289cda401322643a556d81e04096fc914ac047aa1029b27b50dd84fc"),
+])
+def test_connect_builds_no_pair(tmp_path, cheb_spec, herm_spec, monkeypatch,
+                                p, u, m_max, mixed, digest):
+    # The digests are those of the route that built both sequence pairs and
+    # C = P_p @ A_u.
+    paths = {"cheb": cheb_spec, "herm": herm_spec,
+             "rows": write_spec(tmp_path, "rows.json", COPRIME_ROWS)}
+    monkeypatch.setattr(cli, "build_P_recurrence", _no_pair)
+    out = tmp_path / "conn.json"
+    rc = cli.main(["connect", "--p-spec", paths[p], "--u-spec", paths[u], "--m-max", str(m_max),
+                   "--mixed", str(mixed), "--verify", "--out", str(out)])
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("target, name, skipped", [
+    ("polyseq.linearize._check_d_properties", "direct-tensor-properties",
+     {"direct-vs-recurrence", "direct-vs-oracle", "product-reconstruction",
+      "direct-vs-four-term", "support-bound"}),
+    ("polyseq.sequences._check_integer_pair", "pair-invariants",
+     {"A-rows-vs-inverse", "P-columns-vs-recurrence", "direct-vs-oracle",
+      "product-reconstruction", "orthogonality-table"}),
+])
+def test_verify_reports_a_failing_kernel_self_check(cheb_spec, monkeypatch, capsys,
+                                                   target, name, skipped):
+    from polyseq import PropertyViolationError
+    from tests.test_band_kernels import VERIFY_NAMES
+
+    def broken(*args):
+        raise PropertyViolationError("injected")
+
+    monkeypatch.setattr(target, broken)
+    rc = cli.main(["verify", "--h-spec", cheb_spec, "--n-max", "2", "--verbose"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 4
+    assert [line.split()[1] for line in lines] == [n for n in VERIFY_NAMES if n not in skipped]
+    assert [line for line in lines if not line.startswith("ok ")] == [f"FAIL {name} (injected)"]

@@ -1,14 +1,16 @@
-"""connection_matrix (C = P_p @ A_u) and mixed_tensor against the full-matrix route.
+"""connection_matrix and mixed_tensor against the full-matrix route.
 
 The oracle is row 0 of p_m(K), the matrices recurrence_poly_matrices builds
-with p's recurrence at u's matrix K.  The last test keeps that route, and
-the others in the crosscheck module, out of the production modules.
+with p's recurrence at u's matrix K; C = P_p @ A_u, the route that built C
+before it came from H alone, is a second one.  The last test keeps the
+oracles of the crosscheck module out of the production modules.
 """
 
 import ast
 import pathlib
 from fractions import Fraction as F
 from itertools import product
+from math import lcm
 
 import pytest
 
@@ -52,6 +54,10 @@ def oracle_connection(pair_p, pair_u, m_max):
 def assert_connection_matches_oracle(pair_p, pair_u, m_max):
     conn = connection_matrix(pair_p, pair_u, m_max)
     assert conn == oracle_connection(pair_p, pair_u, m_max)
+    # the retired production route, C = P_p @ A_u, through generic mat_mul
+    pa = pair_p.P @ pair_u.A
+    assert conn == [list(row[: m_max + 1]) for row in pa.rows[: m_max + 1]]
+    assert connection_matrix(pair_p.H, pair_u.H, m_max) == conn
     assert all(isinstance(v, F) for row in conn for v in row)
 
 
@@ -151,6 +157,57 @@ def test_connection_window_error_names_the_shorter_certificate(p_rows, a_rows):
     with pytest.raises(WindowError, match="on exact rows of P_p, A_u") as exc:
         connection_matrix(pair_p, pair_u, m_max)
     assert (exc.value.required, exc.value.actual) == (m_max + 1, min(p_rows, a_rows))
+
+
+# -- C from H alone ------------------------------------------------------------------
+
+def test_connection_takes_two_h_or_two_pairs(rng):
+    t = 10
+    dense = realize_H(HSpec.from_rows(rand_hessenberg_rows(rng, t)), t)
+    charlier = realize_H(FAMILIES["charlier"], t)
+    for h_p, h_u in ((dense, charlier), (charlier, dense), (dense, dense)):
+        pair_p, pair_u = build_P_recurrence(h_p), build_P_recurrence(h_u)
+        for m_max in (0, 1, t - 2):
+            assert connection_matrix(h_p, h_u, m_max) == connection_matrix(pair_p, pair_u, m_max)
+        assert mixed_tensor(h_p, h_u, 2) == mixed_tensor(pair_p, pair_u, 2)
+
+
+@pytest.mark.parametrize("short", ["p", "u"])
+def test_connection_refuses_h_certified_on_fewer_than_m_max_rows(short):
+    t, m_max = 8, 5
+    full = {"p": realize_H(FAMILIES["chebyshev"], t), "u": realize_H(FAMILIES["hermite"], t)}
+
+    def certified(rows):
+        return dict(full, **{short: TruncMatrix(full[short].rows, index=-1, exact_rows=rows)})
+
+    with pytest.raises(WindowError, match="on exact rows of H_p, H_u") as exc:
+        connection_matrix(*certified(m_max - 1).values(), m_max)
+    assert (exc.value.required, exc.value.actual) == (m_max, m_max - 1)
+    want = connection_matrix(full["p"], full["u"], m_max)
+    assert connection_matrix(*certified(m_max).values(), m_max) == want
+    assert connection_matrix(*certified(m_max - 1).values(), m_max - 1) == [
+        row[:m_max] for row in want[:m_max]]
+
+
+COPRIME = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+
+
+def test_connection_past_64_bits(rng):
+    # Pairwise coprime denominators: D is their product and D^m passes 2^64
+    # after a few rows, so the integer rows outgrow machine words.
+    t, m_max = 16, 14
+
+    def spec(offset):
+        def entry(k):
+            return F(rng.choice((-1, 1)) * rng.randint(1, 4), COPRIME[(k + offset) % len(COPRIME)])
+        return HSpec.tridiagonal([entry(k) for k in range(t)], [entry(k + 5) for k in range(t - 1)])
+
+    pair_p, pair_u = pair_of(spec(0), t), pair_of(spec(8), t)
+    assert lcm(*COPRIME) ** 2 > 2**64
+    assert_connection_matches_oracle(pair_p, pair_u, m_max)
+    assert_connection_matches_oracle(pair_u, pair_p, m_max)
+    conn = connection_matrix(pair_p.H, pair_u.H, m_max)
+    assert max(v.denominator for row in conn for v in row) > 2**64
 
 
 PRODUCTION = ("linearize", "sequences", "orthogonal", "matrix", "families", "serialize")

@@ -13,7 +13,6 @@ from polyseq import (
     make_operator,
     mat_mul,
     poly_of_matrix,
-    transpose,
     window_rows,
     zeros,
 )
@@ -85,10 +84,6 @@ def test_operator_indices():
 def test_unknown_operator():
     with pytest.raises(ValueError):
         make_operator("Q", 3)
-
-
-def test_dhat_is_transpose_of_d():
-    assert transpose(make_operator("D", 5)) == make_operator("Dhat", 5)
 
 
 # -- products and the exactness certificate ---------------------------------------

@@ -27,7 +27,7 @@ PUBLIC_NAMES = [
     "op_lin_recurrence", "op_sequence", "orthogonality_table", "partial_orthogonality_check",
     "poly_mul", "poly_of_matrix", "realize_H", "recurrence_poly_matrices", "required_size",
     "row_poly", "run_suite", "squared_norms", "support_check", "tau_apply", "tau_moments",
-    "tensors_agree", "transpose", "verify_inverse_connection", "window_rows", "zeros",
+    "tensors_agree", "verify_inverse_connection", "window_rows", "zeros",
 ]
 
 ORACLES = ("lin_tensor_recurrence", "op_lin_recurrence", "_verify_pair")
