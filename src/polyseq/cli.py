@@ -164,11 +164,7 @@ def _cmd_linearize(args) -> int:
 def _cmd_connect(args) -> int:
     p_spec = _load_spec(args.p_spec)
     u_spec = _load_spec(args.u_spec)
-    required = max(
-        args.m_max + 2,
-        required_size(args.mixed) if args.mixed is not None else 0,
-        required_size(args.m_max) if args.verify else 0,
-    )
+    required = max(args.m_max + 2, required_size(args.mixed) if args.mixed is not None else 0)
     size = _resolve_size(args.size, required, f"connect m_max={args.m_max}")
     # C, d and the inverse check read H_p and H_u alone: no P or A is built
     h_p, h_u = realize_H(p_spec, size), realize_H(u_spec, size)

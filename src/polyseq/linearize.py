@@ -73,12 +73,10 @@ class LinTensor:
         return self.slices[k][n][m]
 
 
-def required_size(n_max: int, m_max: int = None) -> int:
-    """Truncation size guaranteeing exact output up to the requested ranges
-    (one extra row of safety margin)."""
-    if m_max is None:
-        m_max = n_max
-    return n_max + m_max + 2
+def required_size(n_max: int) -> int:
+    """Truncation size guaranteeing exact output up to n_max (one extra row
+    of safety margin)."""
+    return 2 * n_max + 2
 
 
 def linearize_with_w(h, w: Polynomial, n: int) -> list:

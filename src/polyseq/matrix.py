@@ -19,6 +19,9 @@ row i of A@B needs rows of B up to i - ind(A), so
 
 clamped to [0, T].  Only factors of negative index ever lose rows; triangular
 work (index >= 0) is exact under truncation.
+
+The kernels here skip stored zeros, which include every entry outside a
+declared index, so a product costs one term per pair of nonzero factors.
 """
 
 from __future__ import annotations
@@ -29,9 +32,20 @@ from typing import Iterable, Sequence
 from .errors import NotInvertibleError, StructureError
 from .polynomial import Polynomial
 
-OPERATOR_KINDS = ("X", "Xhat", "D", "Dhat", "I", "J0")
+# kind -> (index, weight): row i holds weight(i) at column i - index, its
+# only entry.
+_OPERATORS = {
+    "X": (-1, lambda i: 1),  # right shift: ones on the first superdiagonal
+    "Xhat": (1, lambda i: 1),  # left shift, the transpose of X
+    "D": (1, lambda i: i),  # derivative in the monomial basis: D[k+1][k] = k+1
+    "Dhat": (-1, lambda i: i + 1),  # transpose of D
+    "I": (0, lambda i: 1),  # identity
+    "J0": (0, lambda i: 1 if i else 0),  # identity with the (0,0) entry zeroed
+}
+OPERATOR_KINDS = tuple(_OPERATORS)
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class TruncMatrix:
@@ -61,9 +75,10 @@ class TruncMatrix:
     def _trusted(cls, rows: tuple, index: int, exact_rows: int) -> "TruncMatrix":
         """A block whose caller guarantees what __init__ checks: a square tuple
         of tuples of Fractions, zero above diagonal `index`, and 0 <=
-        exact_rows <= size.  The results of +, -, scale, mat_mul and
-        lower_tri_inverse are built this way: their entries are Fractions and
-        their zeros above the index hold by construction."""
+        exact_rows <= size.  The results of +, -, scale, mat_mul,
+        lower_tri_inverse, make_operator and zeros are built this way: their
+        entries are Fractions and their zeros above the index hold by
+        construction."""
         m = object.__new__(cls)
         m.rows, m.size, m.index, m.exact_rows = rows, len(rows), index, exact_rows
         return m
@@ -145,9 +160,7 @@ def zeros(size: int, index: int | None = None) -> TruncMatrix:
     # The zero matrix vacuously has every index; declaring `size` certifies
     # there is no nonzero diagonal inside the truncation at all.
     idx = size if index is None else index
-    return TruncMatrix(
-        (((_ZERO,) * size) for _ in range(size)), index=idx, exact_rows=size
-    )
+    return TruncMatrix._trusted(((_ZERO,) * size,) * size, index=idx, exact_rows=size)
 
 
 def identity(size: int) -> TruncMatrix:
@@ -155,85 +168,42 @@ def identity(size: int) -> TruncMatrix:
 
 
 def make_operator(kind: str, size: int) -> TruncMatrix:
-    """One of the standard operators as an exact T x T truncation.
-
-    X    : ones on the first superdiagonal (right shift); index -1
-    Xhat : transpose of X (left shift); index 1
-    D    : D[k+1][k] = k+1 (derivative in the monomial basis); index 1
-    Dhat : transpose of D; index -1
-    I    : identity; index 0
-    J0   : identity with the (0,0) entry zeroed; index 0
-    """
+    """One of the standard operators of _OPERATORS as an exact T x T truncation."""
     if size < 1:
         raise StructureError("size must be at least 1")
-    rows = [[_ZERO] * size for _ in range(size)]
-    if kind == "X":
-        for j in range(size - 1):
-            rows[j][j + 1] = Fraction(1)
-        index = -1
-    elif kind == "Xhat":
-        for j in range(size - 1):
-            rows[j + 1][j] = Fraction(1)
-        index = 1
-    elif kind == "D":
-        for k in range(size - 1):
-            rows[k + 1][k] = Fraction(k + 1)
-        index = 1
-    elif kind == "Dhat":
-        for k in range(size - 1):
-            rows[k][k + 1] = Fraction(k + 1)
-        index = -1
-    elif kind == "I":
-        for j in range(size):
-            rows[j][j] = Fraction(1)
-        index = 0
-    elif kind == "J0":
-        for j in range(1, size):
-            rows[j][j] = Fraction(1)
-        index = 0
-    else:
+    if kind not in _OPERATORS:
         raise ValueError(
             f"unknown operator kind {kind!r}; expected one of {OPERATOR_KINDS}"
         )
-    return TruncMatrix(rows, index=index, exact_rows=size)
+    index, weight = _OPERATORS[kind]
+    rows = []
+    for i in range(size):
+        row = [_ZERO] * size
+        if 0 <= i - index < size:
+            row[i - index] = Fraction(weight(i))
+        rows.append(tuple(row))
+    return TruncMatrix._trusted(tuple(rows), index=index, exact_rows=size)
 
 
 def mat_mul(a: TruncMatrix, b: TruncMatrix) -> TruncMatrix:
-    """Product of stored blocks with index-bounded summation.
-
-    The summation range per entry comes from the two declared indices, so
-    entries that are structurally zero are never touched.  The result's
+    """Product of stored blocks: row i sums a[i][j] * (row j of b) over the
+    nonzero a[i][j] and the nonzero entries of row j.  Zeros are skipped, so
+    no structural zero is touched; the index is ind(A) + ind(B), and the
     certificate follows the rule in the module docstring.
     """
     _check_sizes(a, b)
     t = a.size
-    ar, br = a.rows, b.rows
-    ia, ib = a.index, b.index
+    b_nz = [[(k, v) for k, v in enumerate(row) if v] for row in b.rows]
     out = []
-    for i in range(t):
-        arow = ar[i]
-        hi = min(t - 1, i - ia)
+    for arow in a.rows:
         row = [_ZERO] * t
-        for k in range(t):
-            lo = max(0, k + ib)
-            if lo > hi:
-                continue
-            acc = _ZERO
-            for j in range(lo, hi + 1):
-                av = arow[j]
-                if av:
-                    bv = br[j][k]
-                    if bv:
-                        acc += av * bv
-            row[k] = acc
+        for j, av in enumerate(arow):
+            if av:
+                for k, bv in b_nz[j]:
+                    row[k] += av * bv
         out.append(tuple(row))
-    er = product_exact_rows(a.exact_rows, ia, b.exact_rows, t)
-    return TruncMatrix._trusted(tuple(out), index=ia + ib, exact_rows=er)
-
-
-def product_exact_rows(er_a: int, index_a: int, er_b: int, size: int) -> int:
-    """Certificate of A@B for size x size factors (rule in the module docstring)."""
-    return max(0, min(er_a, er_b + index_a, size + index_a, size))
+    er = max(0, min(a.exact_rows, b.exact_rows + a.index, t + a.index, t))
+    return TruncMatrix._trusted(tuple(out), index=a.index + b.index, exact_rows=er)
 
 
 def _row_starts(a: TruncMatrix) -> list:
@@ -260,7 +230,8 @@ def first_below_band(a: TruncMatrix, band: int):
 
 
 def lower_tri_inverse(a: TruncMatrix) -> TruncMatrix:
-    """Exact inverse of a lower triangular truncation by forward substitution.
+    """Exact inverse of a lower triangular truncation by forward substitution
+    over nonzero entries: row_i = (e_i - sum_{j<i} a[i][j] row_j) / a[i][i].
 
     Row i of the inverse only involves rows 0..i of the input, so truncation
     loses nothing: the certificate carries over unchanged.
@@ -270,26 +241,22 @@ def lower_tri_inverse(a: TruncMatrix) -> TruncMatrix:
             f"inverse needs a lower triangular matrix (index >= 0), got index {a.index}"
         )
     t = a.size
-    ar = a.rows
-    for i in range(t):
-        if ar[i][i] == 0:
+    inv, inv_nz = [], []
+    for i, arow in enumerate(a.rows):
+        piv = arow[i]
+        if piv == 0:
             raise NotInvertibleError(i)
-    inv = [[_ZERO] * t for _ in range(t)]
-    for i in range(t):
-        piv = ar[i][i]
-        inv[i][i] = Fraction(1) / piv
-        arow = ar[i]
-        for k in range(i - 1, -1, -1):
-            acc = _ZERO
-            for j in range(k, i):
-                av = arow[j]
-                if av:
-                    bv = inv[j][k]
-                    if bv:
-                        acc += av * bv
-            if acc:
-                inv[i][k] = -acc / piv
-    return TruncMatrix._trusted(tuple(map(tuple, inv)), index=0, exact_rows=a.exact_rows)
+        row = [_ZERO] * t
+        row[i] = _ONE
+        for j in range(i):
+            av = arow[j]
+            if av:
+                for k, v in inv_nz[j]:
+                    row[k] -= av * v
+        row = tuple(v / piv if v else _ZERO for v in row)
+        inv.append(row)
+        inv_nz.append([(k, v) for k, v in enumerate(row) if v])
+    return TruncMatrix._trusted(tuple(inv), index=0, exact_rows=a.exact_rows)
 
 
 def poly_of_matrix(w: Polynomial, m: TruncMatrix) -> TruncMatrix:

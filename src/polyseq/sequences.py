@@ -104,7 +104,7 @@ def _tridiagonal_matrix(beta, alpha, size) -> TruncMatrix:
             rows[k][k + 1] = Fraction(1)
         if k >= 1:
             rows[k][k - 1] = Fraction(alpha[k - 1])
-    return TruncMatrix(rows, index=-1, exact_rows=size)
+    return TruncMatrix._trusted(tuple(map(tuple, rows)), index=-1, exact_rows=size)
 
 
 def _rows_matrix(data, size) -> TruncMatrix:
@@ -130,7 +130,7 @@ def _rows_matrix(data, size) -> TruncMatrix:
             rows[k][j] = Fraction(row[j])
         if k + 1 < size:
             rows[k][k + 1] = Fraction(1)
-    return TruncMatrix(rows, index=-1, exact_rows=size)
+    return TruncMatrix._trusted(tuple(map(tuple, rows)), index=-1, exact_rows=size)
 
 
 def check_unit_hessenberg(h: TruncMatrix) -> None:

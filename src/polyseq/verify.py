@@ -98,7 +98,7 @@ def run_suite(spec: HSpec, n_max: int, size: int | None = None) -> list:
         record("product-reconstruction", ok)
 
     ok = True
-    mats = recurrence_poly_matrices(h, h, n_max + 1)
+    mats = recurrence_poly_matrices(h, h, n_max)  # row checks read p_0..p_n_max
     for n in range(n_max + 1):
         for m in range(n_max + 1):
             if mats[n].rows[m] != mats[m].rows[n]:

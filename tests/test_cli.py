@@ -504,3 +504,21 @@ def test_verify_reports_a_failing_kernel_self_check(cheb_spec, monkeypatch, caps
     assert rc == 4
     assert [line.split()[1] for line in lines] == [n for n in VERIFY_NAMES if n not in skipped]
     assert [line for line in lines if not line.startswith("ok ")] == [f"FAIL {name} (injected)"]
+
+
+def test_connect_verify_needs_only_the_rows_of_its_window(tmp_path, herm_spec):
+    # The inverse check reads rows 0..m_max-1 of each H, so a p-spec of
+    # m_max + 2 rows serves --verify and gives the bytes a longer spec gives.
+    outs = []
+    for n in (7, 30):
+        spec = write_spec(tmp_path, f"trid{n}.json", {
+            "type": "tridiagonal",
+            "beta": [f"{k}/3" for k in range(n)],
+            "alpha": [str(k + 1) for k in range(n - 1)],
+        })
+        out = tmp_path / f"conn{n}.json"
+        assert cli.main(["connect", "--p-spec", spec, "--u-spec", herm_spec, "--m-max", "5",
+                         "--mixed", "1", "--verify", "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert read_json(str(tmp_path / "conn7.json"))["inverse_check"] is True

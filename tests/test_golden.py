@@ -1,10 +1,10 @@
-"""Golden decks: one pass of two benchmark decks through cli.main, byte for byte.
+"""Golden decks: one pass of three benchmark decks through cli.main, byte for byte.
 
-The banded-linearize and basis-export decks of bench/workloads.py at seed 11
-run once through the benchmark's own Session in a temporary directory.  The
-benchmark's exact checker must accept every output, and the SHA-256 digest
-over all outputs must equal the one `python3 bench/run.py --workload W
---seed 11` reports.  A deliberate change of output format updates the pins
+The banded-linearize, crosscheck and basis-export decks of bench/workloads.py
+at seed 11 run once through the benchmark's own Session in a temporary
+directory.  The benchmark's exact checker must accept every output, and the
+SHA-256 digest over all outputs must equal the one `python3 bench/run.py
+--workload W --seed 11` reports.  A deliberate change of output format updates the pins
 and says so in CHANGES.md.  bench/ is only read here.
 """
 
@@ -21,6 +21,7 @@ BENCH = Path(__file__).parents[1] / "bench"
 GOLDEN = {
     "banded-linearize": "f892b2c7aa0ad2f881502f2ed21c0a77f52957d5e2c788a86a8b8f8ca47474bf",
     "basis-export": "3630812d07ef4da399412d6d5aa051111ae9d6dc72441a93c051d83a205bd84b",
+    "crosscheck": "49c842bdcaf147c1cd4e80ecf168bc1b050b330539f565e4e23a96cd1df71762",
 }
 
 

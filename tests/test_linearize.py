@@ -44,7 +44,6 @@ def recurrence_tensor(h, n_max):
 
 def test_required_size():
     assert required_size(3) == 8
-    assert required_size(3, 4) == 9
     assert required_size(0) == 2
 
 

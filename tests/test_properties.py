@@ -19,7 +19,9 @@ from polyseq import (
     poly_mul,
     realize_H,
     tensors_agree,
+    zeros,
 )
+from polyseq.matrix import OPERATOR_KINDS
 
 small_fraction = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 nonzero_fraction = small_fraction.filter(lambda f: f != 0)
@@ -171,18 +173,65 @@ def indexed_matrix(draw, size):
 
 
 @given(st.integers(1, 5).flatmap(lambda t: st.tuples(indexed_matrix(t), indexed_matrix(t))),
-       small_fraction, st.integers(1, 5).flatmap(lower_triangular))
+       small_fraction, st.integers(1, 5).flatmap(lower_triangular), hessenberg_lower_rows(5))
 @settings(max_examples=80, deadline=None)
-def test_internal_results_pass_the_checked_constructor(operands, c, low):
-    # Sums, scalings, products and inverses skip __init__'s re-wrap and
-    # index scan; each must be what __init__ would have built.
+def test_internal_results_pass_the_checked_constructor(operands, c, low, lower):
+    # Sums, scalings, products, inverses, operators, zero blocks and realized
+    # H skip __init__'s re-wrap and index scan; each must be what __init__
+    # would have built.
     a, b = operands
-    for r in (a + b, a - b, a.scale(c), -a, a @ b, lower_tri_inverse(low)):
+    t = a.size
+    beta, alpha = [row[-1] for row in lower], [row[-2] for row in lower[1:]]
+    built = [make_operator(kind, t) for kind in OPERATOR_KINDS] + [
+        zeros(t),
+        realize_H(HSpec.from_rows(lower), t),
+        realize_H(HSpec.tridiagonal(beta, alpha), t),
+    ]
+    for r in (a + b, a - b, a.scale(c), -a, a @ b, lower_tri_inverse(low), *built):
         checked = TruncMatrix(r.rows, r.index, r.exact_rows)
         assert (checked.rows, checked.index, checked.exact_rows) == (
             r.rows, r.index, r.exact_rows)
         assert type(r.rows) is tuple and all(type(row) is tuple for row in r.rows)
         assert all(type(v) is F for row in r.rows for v in row)
+
+
+def schoolbook_product(a, b):
+    t = a.size
+    return [[sum((a.rows[i][j] * b.rows[j][k] for j in range(t)), F(0)) for k in range(t)]
+            for i in range(t)]
+
+
+@given(st.integers(1, 5).flatmap(lambda t: st.tuples(indexed_matrix(t), indexed_matrix(t))))
+@settings(max_examples=80, deadline=None)
+def test_product_matches_schoolbook_sum(operands):
+    a, b = operands
+    t = a.size
+    r = a @ b
+    assert [list(row) for row in r.rows] == schoolbook_product(a, b)
+    assert r.index == a.index + b.index
+    # exact_rows(A@B) = min(er(A), er(B) + ind(A), T + ind(A)), clamped to [0, T]
+    assert r.exact_rows == max(0, min(a.exact_rows, b.exact_rows + a.index, t + a.index, t))
+
+
+def substitution_inverse(m):
+    # Column k of the inverse solves m x = e_k, one unknown at a time from the top.
+    t = m.size
+    cols = []
+    for k in range(t):
+        x = []
+        for i in range(t):
+            rest = sum((m.rows[i][j] * x[j] for j in range(i)), F(0))
+            x.append((F(i == k) - rest) / m.rows[i][i])
+        cols.append(x)
+    return [[cols[k][i] for k in range(t)] for i in range(t)]
+
+
+@given(st.integers(1, 6).flatmap(lower_triangular))
+@settings(max_examples=60, deadline=None)
+def test_lower_tri_inverse_matches_substitution(m):
+    inv = lower_tri_inverse(m)
+    assert [list(row) for row in inv.rows] == substitution_inverse(m)
+    assert (inv.index, inv.exact_rows) == (0, m.exact_rows)
 
 
 # -- serialization ----------------------------------------------------------------------
