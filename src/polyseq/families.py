@@ -8,17 +8,21 @@ operators (a != 0 throughout):
     charlier:   H = X + X@D + (a-1)*I + a*D   beta_k = k + a, alpha_n = n*a
 
 For these the basis-polynomial matrices p_n(H) and the linearization slices
-admit closed sums over shifted diagonal operators, and for chebyshev/hermite
-the coefficient matrix P itself is a terminating operator series.  All of it
-is evaluated here with the generic truncated-matrix arithmetic so the results
-can be compared, entry by entry, with the recurrence routes.
+are closed sums of one shape, sum_j w_j L^j S^(n-j) [A] R^(n-j): the table
+_SUMS lists each family's operators and _closed_sum evaluates them.  For
+chebyshev/hermite the coefficient matrix P itself is a terminating
+exponential series, _exp_series.  All of it is evaluated with the generic
+truncated-matrix arithmetic so the results can be compared, entry by entry,
+with the recurrence routes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import comb, factorial
+from operator import matmul
 
 from .errors import FamilyError
 from .matrix import TruncMatrix, identity, make_operator
@@ -47,16 +51,17 @@ def family_tridiagonal(params: FamilyParams, size: int):
     Returns beta_0..beta_{T-1} and alpha_1..alpha_{T-1}.
     """
     a, b = params.a, params.b
-    if params.name == "chebyshev":
-        beta = [b] * size
-        alpha = [a] * (size - 1)
-    elif params.name == "hermite":
-        beta = [b] * size
-        alpha = [a * n for n in range(1, size)]
-    else:  # charlier
-        beta = [a + k for k in range(size)]
-        alpha = [a * n for n in range(1, size)]
+    beta = [a + k if params.name == "charlier" else b for k in range(size)]
+    alpha = [a if params.name == "chebyshev" else a * n for n in range(1, size)]
     return beta, alpha
+
+
+# name -> (L, S is I + D, slice R, binomial weights) of the closed sums
+_SUMS = {
+    "chebyshev": ("Xhat", False, "X", False),
+    "hermite": ("D", False, "Dhat", True),
+    "charlier": ("D", True, "Dhat", True),
+}
 
 
 def _powers(seed: TruncMatrix, count: int):
@@ -65,6 +70,25 @@ def _powers(seed: TruncMatrix, count: int):
     for _ in range(count):
         pows.append(pows[-1] @ seed)
     return pows
+
+
+def _closed_sum(params: FamilyParams, n: int, size: int, c, right: str, middle=None):
+    """sum_j c^j [C(n,j)] L^j @ S^(n-j) @ [middle] @ right^(n-j), j = 0..n,
+    with L, S and the binomial weights from the family's _SUMS entry."""
+    left, shifted, _, binomial = _SUMS[params.name]
+    lpow = _powers(make_operator(left, size), n)
+    rpow = _powers(make_operator(right, size), n)
+    spow = _powers(identity(size) + make_operator("D", size), n) if shifted else None
+    acc = None
+    for j in range(n + 1):
+        term = lpow[j].scale(c**j * (comb(n, j) if binomial else 1))
+        if shifted:
+            term = term @ spow[n - j]
+        if middle is not None:
+            term = term @ middle
+        term = term @ rpow[n - j]
+        acc = term if acc is None else acc + term
+    return acc
 
 
 def family_pnh_closed(params: FamilyParams, n: int, size: int) -> TruncMatrix:
@@ -79,29 +103,7 @@ def family_pnh_closed(params: FamilyParams, n: int, size: int) -> TruncMatrix:
     """
     if n < 0:
         raise FamilyError("n must be nonnegative")
-    a = params.a
-    x = make_operator("X", size)
-    xpow = _powers(x, n)
-    if params.name == "chebyshev":
-        up = _powers(make_operator("Xhat", size), n)
-        terms = (up[k].scale(a**k) @ xpow[n - k] for k in range(n + 1))
-    elif params.name == "hermite":
-        dpow = _powers(make_operator("D", size), n)
-        terms = (
-            dpow[k].scale(comb(n, k) * a**k) @ xpow[n - k] for k in range(n + 1)
-        )
-    else:  # charlier
-        d = make_operator("D", size)
-        dpow = _powers(d, n)
-        idpow = _powers(identity(size) + d, n)
-        terms = (
-            (dpow[k].scale(comb(n, k) * a**k) @ idpow[n - k]) @ xpow[n - k]
-            for k in range(n + 1)
-        )
-    acc = None
-    for term in terms:
-        acc = term if acc is None else acc + term
-    return acc
+    return _closed_sum(params, n, size, params.a, "X")
 
 
 def slice_closed_size(k: int, n_max: int) -> int:
@@ -123,35 +125,26 @@ def family_slice_closed(params: FamilyParams, k: int, n_max: int):
         raise FamilyError("k and n_max must be nonnegative")
     a = params.a
     size = slice_closed_size(k, n_max)
-    if params.name == "chebyshev":
-        diag = [a**i for i in range(size)]
-    else:
-        diag = [factorial(i) * a**i for i in range(size)]
-    norms_rows = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(size):
-        norms_rows[i][i] = diag[i]
-    norms = TruncMatrix(norms_rows, index=0)
-    acc = None
-    if params.name == "chebyshev":
-        up = _powers(make_operator("Xhat", size), k)
-        xpow = _powers(make_operator("X", size), k)
-        for j in range(k + 1):
-            term = (up[j] @ norms) @ xpow[k - j]
-            acc = term if acc is None else acc + term
-    else:
-        d = make_operator("D", size)
-        dpow = _powers(d, k)
-        dhpow = _powers(make_operator("Dhat", size), k)
-        idpow = _powers(identity(size) + d, k) if params.name == "charlier" else None
-        for j in range(k + 1):
-            left = dpow[j].scale(comb(k, j))
-            if idpow is not None:
-                left = left @ idpow[k - j]
-            term = (left @ norms) @ dhpow[k - j]
-            acc = term if acc is None else acc + term
+    _, _, right, binomial = _SUMS[params.name]
+    diag = [(factorial(i) if binomial else 1) * a**i for i in range(size)]
+    norms = TruncMatrix(
+        [[diag[i] if i == j else 0 for j in range(size)] for i in range(size)], index=0
+    )
+    acc = _closed_sum(params, k, size, 1, right, norms)
+    if binomial:
         acc = acc.scale(Fraction(1, factorial(k)))
     assert acc.exact_rows >= n_max + 1, "internal margin too small"
     return [list(row[: n_max + 1]) for row in acc.rows[: n_max + 1]]
+
+
+def _exp_series(size: int, *factors: TruncMatrix) -> TruncMatrix:
+    """sum_{k<T} (F1^k @ F2^k @ ...) / k!, accumulated from the k = 0 term I."""
+    acc = identity(size)
+    powers = [acc] * len(factors)
+    for k in range(1, size):
+        powers = [p @ f for p, f in zip(powers, factors)]
+        acc = acc + reduce(matmul, powers).scale(Fraction(1, factorial(k)))
+    return acc
 
 
 def cheby_series_p(params: FamilyParams, size: int) -> TruncMatrix:
@@ -165,15 +158,7 @@ def cheby_series_p(params: FamilyParams, size: int) -> TruncMatrix:
     if params.name != "chebyshev":
         raise FamilyError(f"series form of P is for chebyshev, not {params.name!r}")
     xmh = make_operator("Xhat", size).scale(-params.a) + identity(size).scale(-params.b)
-    d = make_operator("D", size)
-    acc = identity(size)
-    base = identity(size)
-    dk = identity(size)
-    for k in range(1, size):
-        base = base @ xmh
-        dk = dk @ d
-        acc = acc + (base @ dk).scale(Fraction(1, factorial(k)))
-    return acc
+    return _exp_series(size, xmh, make_operator("D", size))
 
 
 def hermite_exp_p(params: FamilyParams, size: int, inverse: bool = False) -> TruncMatrix:
@@ -188,11 +173,4 @@ def hermite_exp_p(params: FamilyParams, size: int, inverse: bool = False) -> Tru
         raise FamilyError(f"exponential form of P is for hermite, not {params.name!r}")
     d = make_operator("D", size)
     arg = d.scale(params.b) + (d @ d).scale(params.a / 2)
-    if not inverse:
-        arg = -arg
-    acc = identity(size)
-    power = identity(size)
-    for k in range(1, size):
-        power = power @ arg
-        acc = acc + power.scale(Fraction(1, factorial(k)))
-    return acc
+    return _exp_series(size, arg if inverse else -arg)

@@ -248,16 +248,17 @@ def verify_inverse_connection(p, u, m_max: int):
     p and u are H_p and H_u (a SequencePair stands for its H).  C_pu and
     C_up come from two independent runs of the row recurrence, one with
     p's recurrence at H_u and one with u's at H_p, and their product is
-    formed in Fractions.  Returns (True, None) or (False, (m, n)) for the
+    formed in Fractions over the triangle k = n..m <= m_max, as both are
+    unit lower triangular.  Returns (True, None) or (False, (m, n)) for the
     first violating entry.
     """
     c_pu = connection_matrix(p, u, m_max)
     c_up = connection_matrix(u, p, m_max)
-    for m in range(m_max + 1):
-        for n in range(m_max + 1):
+    for m, row in enumerate(c_pu):
+        for n in range(m + 1):
             acc = Fraction(0)
-            for k in range(m_max + 1):
-                v = c_pu[m][k]
+            for k in range(n, m + 1):
+                v = row[k]
                 if v:
                     acc += v * c_up[k][n]
             if acc != (1 if m == n else 0):

@@ -25,7 +25,8 @@ class Polynomial:
 
     @classmethod
     def _trusted(cls, coeffs: tuple) -> "Polynomial":
-        """A polynomial from a tuple of Fractions with a nonzero last entry."""
+        """A polynomial from a tuple of Fractions with a nonzero last entry.
+        The results of +, -, negation, scale, * and times_t are built this way."""
         poly = object.__new__(cls)
         poly.coeffs = coeffs
         return poly
@@ -68,22 +69,24 @@ class Polynomial:
         """Multiply by t (shift all coefficients up one degree)."""
         if self.is_zero:
             return self
-        return Polynomial((Fraction(0),) + self.coeffs)
+        return Polynomial._trusted((Fraction(0),) + self.coeffs)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(a + b for a, b in zip(self.padded(n), other.padded(n)))
+        pairs = zip(self.padded(n), other.padded(n))
+        return Polynomial._trusted(_strip(tuple(a + b for a, b in pairs)))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(a - b for a, b in zip(self.padded(n), other.padded(n)))
+        pairs = zip(self.padded(n), other.padded(n))
+        return Polynomial._trusted(_strip(tuple(a - b for a, b in pairs)))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self.coeffs)
+        return Polynomial._trusted(tuple(-c for c in self.coeffs))
 
     def scale(self, c) -> "Polynomial":
         c = Fraction(c)
-        return Polynomial(c * a for a in self.coeffs)
+        return Polynomial._trusted(_strip(tuple(c * a for a in self.coeffs)))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         # Schoolbook convolution; this is the ground-truth product the
@@ -96,7 +99,7 @@ class Polynomial:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return Polynomial(out)
+        return Polynomial._trusted(_strip(tuple(out)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs

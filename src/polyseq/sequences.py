@@ -38,7 +38,7 @@ from .errors import (
     StructureError,
 )
 from .families import FamilyParams, family_tridiagonal
-from .matrix import TruncMatrix, lower_bandwidth
+from .matrix import TruncMatrix
 from .polynomial import Polynomial
 
 
@@ -272,21 +272,19 @@ def _check_integer_pair(h: TruncMatrix, qa, qp, den: int) -> None:
         for k in range(i + 1):
             if sum(map(mul, arow[k:], pcols[k])) != (powers[2 * i] if k == i else 0):
                 raise PropertyViolationError("A @ P differs from the identity")
-    band = lower_bandwidth(h)
-    gcols = [[0] * t for _ in range(t)]  # gcols[j][i] = G[i][j]
+    gcols = [[] for _ in range(t)]  # gcols[j]: the (i, G[i][j]) with G[i][j] != 0, i rising
     for i, row in enumerate(integer_band(t, h, den=den)[1][0]):
         for j, c in row:
-            gcols[j][i] = c
+            gcols[j].append((i, c))
         if i + 1 < t:
-            gcols[i + 1][i] = den
+            gcols[i + 1].append((i, den))
     # A@H and X@A are both certified on min(er(H), T-1) rows.  H@P = P@X is
     # not checked: on those rows A@P = I and A@H = X@A give H[i] =
     # sum(P[i][j] * A[j+1]), so (H@P)[i] = (P@X)[i].
     for i in range(min(h.exact_rows, t - 1)):
         arow, shifted = qa[i], qa[i + 1]
         for k in range(i + 2):
-            lo, hi = max(0, k + h.index), min(i, k + band) + 1
-            if sum(map(mul, arow[lo:hi], gcols[k][lo:hi])) != shifted[k]:
+            if sum(arow[j] * c for j, c in gcols[k] if j <= i) != shifted[k]:
                 raise PropertyViolationError("A @ H and X @ A disagree on the exact window")
     for k in range(t):
         if qp[k][k] != powers[k]:

@@ -96,6 +96,25 @@ def test_pnh_closed_matches_generic(params, n):
             assert closed.rows[i][k] == generic.rows[i][k], (i, k)
 
 
+@pytest.mark.parametrize("params", ALL_POINTS, ids=str)
+def test_pnh_closed_rows_past_the_certificate(params):
+    # family --pnh writes all T rows, certified or not: each equals the
+    # generic p_n(H) read off a truncation n + 1 rows larger.
+    for n in (0, 1, 3, 6):
+        for size in (1, 2, 5, 9):
+            closed = family_pnh_closed(params, n, size)
+            h = realize_H(HSpec.from_family(params), size + n + 1)
+            generic = recurrence_poly_matrices(h, h, n)[n]
+            assert rows_of(closed) == [list(row[:size]) for row in generic.rows[:size]]
+            assert closed.index == -n
+    for size in (1, 2, 5, 9):
+        if params.name == "chebyshev":
+            assert cheby_series_p(params, size).index == 0
+        if params.name == "hermite":
+            assert hermite_exp_p(params, size).index == 0
+            assert hermite_exp_p(params, size, inverse=True).index == 0
+
+
 # -- closed-form linearization slices ----------------------------------------------------
 
 def test_chebyshev_slice_frozen():

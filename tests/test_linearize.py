@@ -192,6 +192,29 @@ def test_inverse_connection(cheb_pair, hermite_pair):
     assert ok and where is None
 
 
+@pytest.mark.parametrize("pos", [(0, 0), (3, 0), (4, 4), (5, 2), (6, 5)])
+def test_inverse_connection_reports_the_first_mismatch(cheb_pair, hermite_pair, monkeypatch,
+                                                       pos):
+    # C_pu with 1 added at one entry of its triangle: the reported entry is
+    # the first row-major mismatch of the full square product C_pu @ C_up.
+    from polyseq import linearize
+
+    build = linearize.connection_matrix
+
+    def bumped(p, u, m_max):
+        c = build(p, u, m_max)
+        if p is cheb_pair:
+            c[pos[0]][pos[1]] += 1
+        return c
+
+    c_pu, c_up = bumped(cheb_pair, hermite_pair, 6), build(hermite_pair, cheb_pair, 6)
+    full = [[sum((c_pu[m][k] * c_up[k][n] for k in range(7)), F(0)) for n in range(7)]
+            for m in range(7)]
+    first = next((m, n) for m in range(7) for n in range(7) if full[m][n] != (m == n))
+    monkeypatch.setattr(linearize, "connection_matrix", bumped)
+    assert verify_inverse_connection(cheb_pair, hermite_pair, 6) == (False, first)
+
+
 def test_mixed_tensor_cheb_to_hermite(cheb_pair, hermite_pair):
     mixed = mixed_tensor(cheb_pair, hermite_pair, 2)
     assert [mixed.value(1, 1, k) for k in range(3)] == [1, 0, 1]

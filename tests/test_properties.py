@@ -195,6 +195,17 @@ def test_internal_results_pass_the_checked_constructor(operands, c, low, lower):
         assert all(type(v) is F for row in r.rows for v in row)
 
 
+@given(poly_strategy(), poly_strategy(), small_fraction)
+@settings(max_examples=80, deadline=None)
+def test_polynomial_results_pass_the_checked_constructor(f, g, c):
+    # +, -, negation, scale, * and times_t skip __init__'s re-wrap and strip;
+    # each must be what __init__ would have built.
+    for r in (f + g, f - g, f - f, -f, f.scale(c), f.scale(0), f * g, f.times_t()):
+        assert r == Polynomial(r.coeffs)
+        assert type(r.coeffs) is tuple and all(type(v) is F for v in r.coeffs)
+        assert not r.coeffs or r.coeffs[-1] != 0
+
+
 def schoolbook_product(a, b):
     t = a.size
     return [[sum((a.rows[i][j] * b.rows[j][k] for j in range(t)), F(0)) for k in range(t)]
