@@ -253,8 +253,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, spec_flag="--h-spec"):
-        p.add_argument(spec_flag, required=True, help="path to an H spec JSON file")
+    def add_common(p):
+        p.add_argument("--h-spec", required=True, help="path to an H spec JSON file")
         p.add_argument("--size", type=_count, default=None, help="override the auto window size T")
         p.add_argument("--verbose", action="store_true", help="print progress to stdout")
 

@@ -108,25 +108,12 @@ def build_Hhat(h: TruncMatrix) -> TruncMatrix:
     return make_operator("Xhat", t) @ yinv
 
 
-def _mat_vec(m: TruncMatrix, v: list) -> list:
-    out = []
-    for i in range(m.size):
-        hi = min(m.size - 1, i - m.index)
-        acc = Fraction(0)
-        row = m.rows[i]
-        for j in range(0, hi + 1):
-            rv = row[j]
-            if rv:
-                acc += rv * v[j]
-        out.append(acc)
-    return out
-
-
 def build_P_columns(h: TruncMatrix) -> TruncMatrix:
     """P built column-first through the right inverse.
 
     Column 0 is column 0 of -Hhat@H with the top entry set to 1; then
-    col_{k+1} = Hhat @ col_k.  Hhat has index 1, so every column is exact.
+    col_{k+1} = Hhat @ col_k, each row of Hhat summed over its nonzero
+    entries.  Hhat has index 1, so every column is exact.
     """
     t = h.size
     hhat = build_Hhat(h)
@@ -135,7 +122,8 @@ def build_P_columns(h: TruncMatrix) -> TruncMatrix:
     col[0] = Fraction(1)
     cols = [col]
     for _ in range(t - 1):
-        cols.append(_mat_vec(hhat, cols[-1]))
+        prev = cols[-1]
+        cols.append([sum(v * prev[j] for j, v in enumerate(row) if v) for row in hhat.rows])
     rows = [[cols[k][i] for k in range(t)] for i in range(t)]
     return TruncMatrix(rows, index=0, exact_rows=t)
 
@@ -176,9 +164,8 @@ def lin_tensor_recurrence(h: TruncMatrix, n_max: int, k: int) -> list:
     """
     if not 0 <= k <= 2 * n_max:
         raise PolyseqError(f"k must lie in 0..{2 * n_max}, got {k}")
-    check_h_window(h, n_max, "lin_tensor_recurrence")
-    check_unit_hessenberg(h)
     width0 = 2 * n_max
+    (h,) = check_h_window(f"lin_tensor_recurrence(n_max={n_max})", width0, h)
     rows = [[Fraction(1) if m == k else Fraction(0) for m in range(width0 + 1)]]
     for n in range(n_max):
         width = width0 - (n + 1)

@@ -32,8 +32,9 @@ p_n * p_m in the u-basis:
 and row 0 of p_m(K) alone gives the connection coefficients p_m = sum_k
 C[m][k] u_k, a unit lower triangular change of basis whose two directions
 multiply to the identity.  C is the same kernel again, with p's recurrence
-at K = H_u and start e_0; no sequence pair is built.  Row 0 of K^j is row j
-of A_u, so C = P_p @ A_u, which the tests keep as an oracle.
+at K = H_u and start e_0.  Row 0 of K^j is row j of A_u, so C = P_p @ A_u,
+which the tests keep as an oracle.  Every kernel here reads H alone (a pair
+stands for its H) and has one window gate, check_h_window.
 """
 
 from __future__ import annotations
@@ -94,16 +95,26 @@ def linearize_with_w(h, w: Polynomial, n: int) -> list:
     return list(wh.rows[n][: n + deg + 1])
 
 
-def check_h_window(h: TruncMatrix, n_max: int, what: str) -> None:
-    """A linearization to n_max reads rows 0..2*n_max-1 of H: demand a
-    truncation of required_size(n_max) whose certificate covers them."""
-    required = required_size(n_max)
-    if h.size < required:
-        raise WindowError(required, h.size, f"{what}(n_max={n_max})")
-    if h.exact_rows < 2 * n_max:
-        raise WindowError(
-            2 * n_max, h.exact_rows, f"{what}(n_max={n_max}) on exact rows of H"
-        )
+def check_h_window(what: str, rows: int, *hs) -> tuple:
+    """The window rule of every kernel that reads rows 0..rows-1 of H.
+
+    Each argument is an H (a SequencePair stands for its H).  Demands, in
+    this order: truncations of size >= rows+2, of one size, certified on rows
+    0..rows-1, and unit Hessenberg.  Returns the H's.
+    """
+    hs = tuple(map(_h, hs))
+    size = min(h.size for h in hs)
+    if size < rows + 2:
+        raise WindowError(rows + 2, size, what)
+    if len({h.size for h in hs}) > 1:
+        raise StructureError(f"size mismatch: {hs[0].size} vs {hs[1].size}")
+    exact = min(h.exact_rows for h in hs)
+    if exact < rows:
+        names = "H_p, H_u" if len(hs) == 2 else "H"
+        raise WindowError(rows, exact, f"{what} on exact rows of {names}")
+    for h in hs:
+        check_unit_hessenberg(h)
+    return hs
 
 
 def _check_d_properties(q, powers, n_max: int) -> None:
@@ -144,17 +155,14 @@ def lin_tensor_direct(h: TruncMatrix | SequencePair, n_max: int) -> LinTensor:
     h is the truncation H (a SequencePair stands for its H).  One run of
     sequences.poly_rows from e_n gives row n of p_0(H)..p_N(H), in integers
     as q[m][n] = D^m * row n of p_m(H), with D the lcm of the denominators
-    of the entries read.  The runs read rows 0..2N-1 of H; a truncation
-    smaller than required_size(n_max), or one certified on fewer than 2N
-    rows, raises WindowError.  The slice identities are checked on q,
+    of the entries read.  The runs read rows 0..2N-1 of H (check_h_window:
+    T >= required_size(n_max)).  The slice identities are checked on q,
     symmetry as the runs from e_n and e_m against each other, and each
     entry is normalised once, as Fraction(q, D^m).  The entries equal those
     of crosscheck.recurrence_poly_matrices(H, H, N).
     """
-    h = _h(h)
-    check_h_window(h, n_max, "lin_tensor_direct")
-    check_unit_hessenberg(h)
     last = 2 * n_max
+    (h,) = check_h_window(f"lin_tensor_direct(n_max={n_max})", last, h)
     den, (g,) = integer_band(last, h)
     powers = [den**m for m in range(n_max + 1)]
     runs = [poly_rows(g, g, den, n_max + 1, start=n) for n in range(n_max + 1)]
@@ -178,29 +186,9 @@ def connection_matrix(p, u, m_max: int) -> list:
     p and u are H_p and H_u (a SequencePair stands for its H).  One run of
     sequences.poly_rows from e_0, with p's recurrence at K = H_u, gives C in
     integers over one D for both.  It reads rows 0..m_max-1 of H_p and of
-    H_u, so each must be certified on them; handed two pairs, it also
-    demands that P_p and A_u be certified on rows 0..m_max (C = P_p @ A_u).
-    Either shortfall raises WindowError.
+    H_u (check_h_window: T >= m_max+2), and nothing of P or A.
     """
-    required = m_max + 2
-    hp, hu = _h(p), _h(u)
-    if hp.size < required or hu.size < required:
-        raise WindowError(required, min(hp.size, hu.size), f"connection_matrix(m_max={m_max})")
-    if hp.size != hu.size:
-        raise StructureError(f"size mismatch: {hp.size} vs {hu.size}")
-    if isinstance(p, SequencePair) and isinstance(u, SequencePair):
-        exact = min(p.P.exact_rows, u.A.exact_rows, m_max + 1)
-        if exact <= m_max:
-            raise WindowError(
-                m_max + 1, exact, f"connection_matrix(m_max={m_max}) on exact rows of P_p, A_u"
-            )
-    exact = min(hp.exact_rows, hu.exact_rows)
-    if exact < m_max:
-        raise WindowError(
-            m_max, exact, f"connection_matrix(m_max={m_max}) on exact rows of H_p, H_u"
-        )
-    check_unit_hessenberg(hp)
-    check_unit_hessenberg(hu)
+    hp, hu = check_h_window(f"connection_matrix(m_max={m_max})", m_max, p, u)
     den, (gp, gu) = integer_band(m_max, hp, hu)
     zero, powers = Fraction(0), [den**m for m in range(m_max + 1)]
     return [
@@ -212,12 +200,9 @@ def connection_matrix(p, u, m_max: int) -> list:
 def mixed_tensor(p, u, n_max: int) -> LinTensor:
     """e(n,m,k): products from the p-sequence expanded in the u-basis.
 
-    p and u are H_p and H_u (a SequencePair stands for its H)."""
-    required = required_size(n_max)
-    if p.size != u.size:
-        raise StructureError(f"size mismatch: {p.size} vs {u.size}")
-    if p.size < required:
-        raise WindowError(required, p.size, f"mixed_tensor(n_max={n_max})")
+    p and u are H_p and H_u (a SequencePair stands for its H); the window
+    rule is that of lin_tensor_direct(p, n_max) and connection_matrix(p, u,
+    2*n_max), which it calls."""
     return _mixed_sum(lin_tensor_direct(p, n_max), connection_matrix(p, u, 2 * n_max))
 
 

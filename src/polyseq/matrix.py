@@ -156,11 +156,10 @@ def _check_sizes(a: TruncMatrix, b: TruncMatrix) -> None:
         raise StructureError(f"size mismatch: {a.size} vs {b.size}")
 
 
-def zeros(size: int, index: int | None = None) -> TruncMatrix:
+def zeros(size: int) -> TruncMatrix:
     # The zero matrix vacuously has every index; declaring `size` certifies
     # there is no nonzero diagonal inside the truncation at all.
-    idx = size if index is None else index
-    return TruncMatrix._trusted(((_ZERO,) * size,) * size, index=idx, exact_rows=size)
+    return TruncMatrix._trusted(((_ZERO,) * size,) * size, index=size, exact_rows=size)
 
 
 def identity(size: int) -> TruncMatrix:

@@ -17,11 +17,15 @@ import pytest
 from polyseq import (
     FamilyParams,
     HSpec,
+    PolyseqError,
     SequencePair,
+    StructureError,
     TruncMatrix,
     WindowError,
     build_P_recurrence,
     connection_matrix,
+    lin_tensor_direct,
+    lin_tensor_recurrence,
     lower_bandwidth,
     mixed_tensor,
     realize_H,
@@ -130,33 +134,81 @@ def test_mixed_tensor_matches_oracle(rng):
             assert mixed.value(n, m, k) == want
 
 
-@pytest.mark.parametrize("short", ["P", "A"])
-def test_connection_refuses_a_short_certificate(short):
+def test_connection_reads_no_certificate_of_p_or_a():
     t, m_max = 8, 5
-    pair_p, pair_u = pair_of(FAMILIES["chebyshev"], t), pair_of(FAMILIES["hermite"], t)
-    if short == "P":
-        pair_p = SequencePair(H=pair_p.H, A=pair_p.A, polys=pair_p.polys,
-                              P=TruncMatrix(pair_p.P.rows, index=0, exact_rows=m_max))
-    else:
-        pair_u = SequencePair(H=pair_u.H, P=pair_u.P, polys=pair_u.polys,
-                              A=TruncMatrix(pair_u.A.rows, index=0, exact_rows=m_max))
-    with pytest.raises(WindowError):
-        connection_matrix(pair_p, pair_u, m_max)
-    assert connection_matrix(pair_p, pair_u, m_max - 1) == oracle_connection(
-        pair_p, pair_u, m_max - 1)
+    h_p, h_u = realize_H(FAMILIES["charlier"], t), realize_H(FAMILIES["hermite"], t)
+    pair_p, pair_u = build_P_recurrence(h_p), build_P_recurrence(h_u)
+    want = connection_matrix(h_p, h_u, m_max)
+    for p_rows, a_rows in ((m_max, t), (t, m_max - 1), (3, 2)):
+        hand_p = SequencePair(H=h_p, A=pair_p.A, polys=pair_p.polys,
+                              P=TruncMatrix(pair_p.P.rows, index=0, exact_rows=p_rows))
+        hand_u = SequencePair(H=h_u, P=pair_u.P, polys=pair_u.polys,
+                              A=TruncMatrix(pair_u.A.rows, index=0, exact_rows=a_rows))
+        assert connection_matrix(hand_p, hand_u, m_max) == want
+    short = build_P_recurrence(TruncMatrix(h_p.rows, index=-1, exact_rows=m_max - 1))
+    with pytest.raises(WindowError, match="on exact rows of H_p, H_u") as exc:
+        connection_matrix(short, pair_u, m_max)
+    assert (exc.value.required, exc.value.actual) == (m_max, m_max - 1)
 
 
-@pytest.mark.parametrize("p_rows,a_rows", [(5, 8), (8, 4), (3, 2)])
-def test_connection_window_error_names_the_shorter_certificate(p_rows, a_rows):
-    t, m_max = 8, 5
-    pair_p, pair_u = pair_of(FAMILIES["charlier"], t), pair_of(FAMILIES["hermite"], t)
-    pair_p = SequencePair(H=pair_p.H, A=pair_p.A, polys=pair_p.polys,
-                          P=TruncMatrix(pair_p.P.rows, index=0, exact_rows=p_rows))
-    pair_u = SequencePair(H=pair_u.H, P=pair_u.P, polys=pair_u.polys,
-                          A=TruncMatrix(pair_u.A.rows, index=0, exact_rows=a_rows))
-    with pytest.raises(WindowError, match="on exact rows of P_p, A_u") as exc:
-        connection_matrix(pair_p, pair_u, m_max)
-    assert (exc.value.required, exc.value.actual) == (m_max + 1, min(p_rows, a_rows))
+# -- one window gate for every kernel that reads H ----------------------------------
+# Each kernel below reads rows 0..3 of H (N = 2, m_max = 4), so each needs T >= 6
+# and a certificate on 4 rows.  The cases break one condition each.
+
+def hermite_h(t=8, exact=None, superdiagonal=1):
+    rows = [list(row) for row in realize_H(FAMILIES["hermite"], t).rows]
+    rows[0][1] = F(superdiagonal)
+    return TruncMatrix(rows, index=-1, exact_rows=exact)
+
+
+GATED = {
+    "lin_tensor_direct": lambda p, u: lin_tensor_direct(p, 2),
+    "lin_tensor_recurrence": lambda p, u: lin_tensor_recurrence(p, 2, 0),
+    "connection_matrix": lambda p, u: connection_matrix(p, u, 4),
+    "mixed_tensor": lambda p, u: mixed_tensor(p, u, 2),
+}
+TWO_H = ("connection_matrix", "mixed_tensor")
+LIN, CON = "lin_tensor_direct(n_max=2)", "connection_matrix(m_max=4)"
+LABEL = {"lin_tensor_direct": LIN, "lin_tensor_recurrence": "lin_tensor_recurrence(n_max=2)",
+         "connection_matrix": CON, "mixed_tensor": LIN}
+ROWS_OF = dict.fromkeys(GATED, " on exact rows of H")
+ROWS_OF["connection_matrix"] = " on exact rows of H_p, H_u"
+SHORT = " needs truncation size T >= 6, got T = 5"
+UNCERTIFIED = " needs truncation size T >= 4, got T = 3"
+SUPERDIAGONAL = (StructureError, None, "entry (0,1) must be 1, got 2")
+# (case, kernel, H_p, H_u, (type, (required, actual) or None, message))
+GATE_CASES = [
+    *(("short truncation", name, hermite_h(5), hermite_h(5),
+       (WindowError, (6, 5), LABEL[name] + SHORT)) for name in GATED),
+    *(("unequal sizes", name, hermite_h(8), hermite_h(9),
+       (StructureError, None, "size mismatch: 8 vs 9")) for name in TWO_H),
+    *(("short certificate", name, hermite_h(exact=3), hermite_h(),
+       (WindowError, (4, 3), LABEL[name] + ROWS_OF[name] + UNCERTIFIED)) for name in GATED),
+    *(("short certificate of H_u", name, hermite_h(), hermite_h(exact=3),
+       (WindowError, (4, 3), CON + " on exact rows of H_p, H_u" + UNCERTIFIED)) for name in TWO_H),
+    *(("2 on the superdiagonal", name, hermite_h(superdiagonal=2), hermite_h(), SUPERDIAGONAL)
+      for name in GATED),
+    *(("2 on the superdiagonal of H_u", name, hermite_h(), hermite_h(superdiagonal=2),
+       SUPERDIAGONAL) for name in TWO_H),
+]
+
+
+@pytest.mark.parametrize("case,name,h_p,h_u,want", GATE_CASES,
+                         ids=[f"{c[1]}-{c[0]}" for c in GATE_CASES])
+def test_every_kernel_that_reads_h_refuses_through_one_gate(case, name, h_p, h_u, want):
+    kind, window, message = want
+    with pytest.raises(PolyseqError) as exc:
+        GATED[name](h_p, h_u)
+    assert type(exc.value) is kind
+    assert str(exc.value) == message
+    if window is not None:
+        assert (exc.value.required, exc.value.actual) == window
+
+
+def test_the_gate_passes_what_each_kernel_reads():
+    for run in GATED.values():
+        run(hermite_h(6), hermite_h(6, exact=4))
+        run(hermite_h(6, exact=4), hermite_h(6))
 
 
 # -- C from H alone ------------------------------------------------------------------

@@ -1,13 +1,14 @@
-"""Where each route lives, the public names, and the README's CLI lines.
+"""Where each route lives, the public names, and the README's code blocks.
 
 Production modules hold one kernel per output; the paper's alternate routes
-live in polyseq.crosscheck as oracles.  The README's CLI block must run as
-written.
+live in polyseq.crosscheck as oracles.  The README's Library and CLI blocks
+must run as written.
 """
 
 import importlib
 import json
 import shlex
+from fractions import Fraction as F
 from pathlib import Path
 
 import polyseq
@@ -56,6 +57,19 @@ def test_no_production_module_defines_an_oracle():
     assert not hasattr(crosscheck, "_dot")
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_block_gives_the_values_its_comments_state():
+    block = README.read_text().split("## Library", 1)[1].split("```python\n", 1)[1]
+    names = {}
+    exec(block.split("```", 1)[0], names)
+    pair, tensor = names["pair"], names["tensor"]
+    assert pair.polys[4] == polyseq.Polynomial([F(1, 16), 0, F(-3, 4), 0, 1])
+    assert polyseq.tau_moments(pair)[:5] == [1, 0, F(1, 4), 0, F(1, 8)]
+    assert tensor.value(2, 3, 1) == F(1, 16)
+
+
 README_SPECS = {
     "spec.json": {"type": "tridiagonal", "beta": [f"{k}/3" for k in range(12)],
                   "alpha": [f"{k + 1}/2" for k in range(11)]},
@@ -66,8 +80,7 @@ README_SPECS = {
 
 def readme_cli_commands():
     """argv of each `polyseq ...` command in the README's CLI block."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = text.split("## CLI", 1)[1].split("```", 2)[1].replace("\\\n", " ")
+    block = README.read_text().split("## CLI", 1)[1].split("```", 2)[1].replace("\\\n", " ")
     return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("polyseq ")]
 
 
