@@ -31,10 +31,10 @@ from .families import (
     slice_closed_size,
 )
 from .linearize import (
-    _mixed_sum,
     connection_matrix,
     lin_tensor_direct,
     LinTensor,
+    mixed_tensor,
     required_size,
     tensors_agree,
     verify_inverse_connection,
@@ -169,14 +169,10 @@ def _cmd_connect(args) -> int:
     # C, d and the inverse check read H_p and H_u alone: no P or A is built
     h_p, h_u = realize_H(p_spec, size), realize_H(u_spec, size)
     _progress(args, f"connection m_max={args.m_max} at T={size}")
-    # one C_pu serves the connection output and the mixed sum
-    span = max(args.m_max, 2 * args.mixed if args.mixed is not None else 0)
-    c_pu = connection_matrix(h_p, h_u, span)
-    conn = [row[: args.m_max + 1] for row in c_pu[: args.m_max + 1]]
+    conn = connection_matrix(h_p, h_u, args.m_max)
     payload = {"connection": connection_to_jsonable(args.m_max, conn)}
     if args.mixed is not None:
-        d = lin_tensor_direct(h_p, args.mixed)
-        payload["mixed"] = tensor_to_jsonable(_mixed_sum(d, c_pu))
+        payload["mixed"] = tensor_to_jsonable(mixed_tensor(h_p, h_u, args.mixed))
     ok = True
     if args.verify:
         ok, where = verify_inverse_connection(h_p, h_u, args.m_max)

@@ -13,9 +13,8 @@ them another way:
 - _verify_pair: the pair's identities A@P = I, A@H = X@A and H@P = P@X as
   generic products, the oracle of build_P_recurrence's integer check.
 - recurrence_poly_matrices: the full matrices p_m(M), by generic products.
-  Production runs single rows of them (sequences.poly_rows): row n of
-  p_m(H) is d(n,m,.) (lin_tensor_direct), row 0 of p_m(K) is C[m]
-  (connection_matrix).
+  Production runs row vectors through them (sequences.poly_rows): row n of
+  p_m(H) is d(n,m,.), row 0 of p_m(K) is C[m], and C[n] @ p_m(K) is e(n,m,.).
 - lin_tensor_recurrence: a fixed-k slice of d scalar by scalar from H.
 - op_lin_recurrence: the same slice from the four-term recurrence of an
   orthogonal sequence, stated on its (beta, alpha) alone.
@@ -112,13 +111,12 @@ def build_P_columns(h: TruncMatrix) -> TruncMatrix:
     """P built column-first through the right inverse.
 
     Column 0 is column 0 of -Hhat@H with the top entry set to 1; then
-    col_{k+1} = Hhat @ col_k, each row of Hhat summed over its nonzero
-    entries.  Hhat has index 1, so every column is exact.
+    col_{k+1} = Hhat @ col_k, both as row sums over Hhat's nonzero entries.
+    Hhat has index 1, so every column is exact.
     """
     t = h.size
     hhat = build_Hhat(h)
-    hhat_h = hhat @ h
-    col = [-hhat_h.rows[i][0] for i in range(t)]
+    col = [-sum(v * h.rows[j][0] for j, v in enumerate(row) if v) for row in hhat.rows]
     col[0] = Fraction(1)
     cols = [col]
     for _ in range(t - 1):

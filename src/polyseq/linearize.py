@@ -24,23 +24,22 @@ the integer rows):
     d(n,m,k) = d(m,n,k);  d = 0 if n+m < k;  d = 1 if n+m = k;
     d(0,m,k) = 1 if m == k else 0.
 
-With a second sequence u_k attached to K, the mixed coefficients expand
-p_n * p_m in the u-basis:
-
-    e(n,m,k) = sum_j d(n,m,j) * p_j(K)[0][k],
-
-and row 0 of p_m(K) alone gives the connection coefficients p_m = sum_k
-C[m][k] u_k, a unit lower triangular change of basis whose two directions
-multiply to the identity.  C is the same kernel again, with p's recurrence
-at K = H_u and start e_0.  Row 0 of K^j is row j of A_u, so C = P_p @ A_u,
-which the tests keep as an oracle.  Every kernel here reads H alone (a pair
-stands for its H) and has one window gate, check_h_window.
+With a second sequence u_k attached to K = H_u, the connection coefficients
+p_m = sum_k C[m][k] u_k are row 0 of p_m(K): the same kernel, with p's
+recurrence at K, from e_0.  Row 0 of K^j is row j of A_u, so C = P_p @ A_u,
+a test oracle.  C is unit lower triangular, and its two directions multiply
+to the identity on the kernel's integer rows.  Row 0 of (p_n p_m)(K) =
+p_n(K) p_m(K) gives the mixed coefficients, p_n * p_m = sum_k e(n,m,k) u_k,
+as e(n,m,.) = C[n] @ p_m(K): the kernel once more, from the row vector C[n].
+Every kernel here reads H alone (a pair stands for its H) and has one
+window gate, check_h_window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .errors import PropertyViolationError, StructureError, WindowError
 from .matrix import TruncMatrix, poly_of_matrix
@@ -165,18 +164,23 @@ def lin_tensor_direct(h: TruncMatrix | SequencePair, n_max: int) -> LinTensor:
     (h,) = check_h_window(f"lin_tensor_direct(n_max={n_max})", last, h)
     den, (g,) = integer_band(last, h)
     powers = [den**m for m in range(n_max + 1)]
-    runs = [poly_rows(g, g, den, n_max + 1, start=n) for n in range(n_max + 1)]
+    runs = [poly_rows(g, g, den, n_max + 1, start=[0] * n + [1]) for n in range(n_max + 1)]
     # q[m][n] = row n of q_m on columns 0..2N
     q = [[run[m] + [0] * (last - n - m) for n, run in enumerate(runs)] for m in range(n_max + 1)]
     _check_d_properties(q, powers, n_max)
-    # d(n,m,k) = d(m,n,k): one Fraction serves both places.
+    return _symmetric_tensor(n_max, runs, lambda n, m: powers[m])
+
+
+def _symmetric_tensor(n_max: int, runs, power) -> LinTensor:
+    """The tensor (n,m,k) -> runs[n][m][k] / power(n, m), read for n <= m and symmetric."""
     zero = Fraction(0)
-    slices = [[[zero] * (n_max + 1) for _ in range(n_max + 1)] for _ in range(last + 1)]
-    for m in range(n_max + 1):
-        for n in range(m + 1):
-            for k, v in enumerate(q[m][n]):
+    slices = [[[zero] * (n_max + 1) for _ in range(n_max + 1)] for _ in range(2 * n_max + 1)]
+    for n, run in enumerate(runs):
+        for m in range(n, n_max + 1):
+            den = power(n, m)
+            for k, v in enumerate(run[m]):
                 if v:
-                    slices[k][n][m] = slices[k][m][n] = Fraction(v, powers[m])
+                    slices[k][n][m] = slices[k][m][n] = Fraction(v, den)
     return LinTensor.from_slices(n_max, slices.__getitem__)
 
 
@@ -198,55 +202,55 @@ def connection_matrix(p, u, m_max: int) -> list:
 
 
 def mixed_tensor(p, u, n_max: int) -> LinTensor:
-    """e(n,m,k): products from the p-sequence expanded in the u-basis.
+    """e(n,m,k) for n, m <= N = n_max: p_n * p_m = sum_k e(n,m,k) u_k.
 
-    p and u are H_p and H_u (a SequencePair stands for its H); the window
-    rule is that of lin_tensor_direct(p, n_max) and connection_matrix(p, u,
-    2*n_max), which it calls."""
-    return _mixed_sum(lin_tensor_direct(p, n_max), connection_matrix(p, u, 2 * n_max))
+    p and u are H_p and H_u (a SequencePair stands for its H).  One run of
+    sequences.poly_rows gives q_C[n] = D^n * C[n], as in connection_matrix,
+    and one run from each q_C[n] gives D^(n+m) * e(n,m,.) at step m.  They
+    read rows 0..2N-1 of H_u and 0..N-1 of H_p; the gate asks 2N certified
+    rows of both (T >= 2N+2).  Symmetry (the runs from C[n] and C[m]) and
+    e(n,m,n+m) = 1 are checked in integers; e(0,m,.) = C[m] and the zeros
+    past n+m hold by construction."""
+    last = 2 * n_max
+    hp, hu = check_h_window(f"mixed_tensor(n_max={n_max})", last, p, u)
+    den, (gp, gu) = integer_band(last, hp, hu)
+    q_c = poly_rows(gp, gu, den, n_max + 1)
+    runs = [poly_rows(gp, gu, den, n_max + 1, start=row) for row in q_c]
+    powers = [den**k for k in range(last + 1)]
 
+    def e(n, m, k):
+        return Fraction(runs[n][m][k], powers[n + m])
 
-def _mixed_sum(d: LinTensor, c) -> LinTensor:
-    """e(n,m,k) = sum_j d(n,m,j) * C[j][k], reading C on rows 0..k_max of d."""
-    n_max, k_max = d.n_max, d.k_max
-
-    def mixed_slice(k):
-        sl = [[Fraction(0)] * (n_max + 1) for _ in range(n_max + 1)]
-        for j in range(k, k_max + 1):
-            cjk = c[j][k]
-            if cjk == 0:
-                continue
-            dj = d.slices[j]
-            for n in range(n_max + 1):
-                row = dj[n]
-                for m in range(n_max + 1):
-                    if row[m]:
-                        sl[n][m] += cjk * row[m]
-        return sl
-
-    return LinTensor.from_slices(n_max, mixed_slice)
+    for n, m in product(range(n_max + 1), repeat=2):
+        row, other = runs[n][m], runs[m][n]
+        if m > n and row != other:
+            k = next(k for k, v in enumerate(row) if v != other[k])
+            raise PropertyViolationError(f"e({n},{m},{k}) != e({m},{n},{k}): "
+                                         f"{e(n, m, k)} vs {e(m, n, k)}")
+        if row[n + m] != powers[n + m]:
+            raise PropertyViolationError(f"e({n},{m},{n + m}) = {e(n, m, n + m)}, "
+                                         "expected 1 (n+m = k)")
+    return _symmetric_tensor(n_max, runs, lambda n, m: powers[n + m])
 
 
 def verify_inverse_connection(p, u, m_max: int):
     """Check the two connection directions multiply to the identity.
 
-    p and u are H_p and H_u (a SequencePair stands for its H).  C_pu and
-    C_up come from two independent runs of the row recurrence, one with
-    p's recurrence at H_u and one with u's at H_p, and their product is
-    formed in Fractions over the triangle k = n..m <= m_max, as both are
-    unit lower triangular.  Returns (True, None) or (False, (m, n)) for the
-    first violating entry.
-    """
-    c_pu = connection_matrix(p, u, m_max)
-    c_up = connection_matrix(u, p, m_max)
-    for m, row in enumerate(c_pu):
+    p and u are H_p and H_u (a SequencePair stands for its H), gated as in
+    connection_matrix(p, u, m_max).  Two runs of sequences.poly_rows over one
+    D give q_pu[m] = D^m * C_pu[m] and q_up[k] = D^k * C_up[k], both unit
+    lower triangular, so C_pu @ C_up = I is checked on the triangle as
+    sum(q_pu[m][k] * q_up[k][n] * D^(m-k) for k = n..m) = D^(2m) * [m == n].
+    Returns (True, None) or (False, (m, n)) for the first violating entry,
+    row-major."""
+    hp, hu = check_h_window(f"connection_matrix(m_max={m_max})", m_max, p, u)
+    den, (gp, gu) = integer_band(m_max, hp, hu)
+    q_pu, q_up = poly_rows(gp, gu, den, m_max + 1), poly_rows(gu, gp, den, m_max + 1)
+    powers = [den**k for k in range(2 * m_max + 1)]
+    for m, row in enumerate(q_pu):
         for n in range(m + 1):
-            acc = Fraction(0)
-            for k in range(n, m + 1):
-                v = row[k]
-                if v:
-                    acc += v * c_up[k][n]
-            if acc != (1 if m == n else 0):
+            acc = sum(row[k] * q_up[k][n] * powers[m - k] for k in range(n, m + 1))
+            if acc != (powers[2 * m] if m == n else 0):
                 return False, (m, n)
     return True, None
 

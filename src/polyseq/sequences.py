@@ -211,21 +211,21 @@ def integer_band(rows: int, *hs: TruncMatrix, den: int | None = None):
     ]
 
 
-def poly_rows(gp, gk, den: int, count: int, start: int = 0) -> list:
-    """q[m] = D^m * (row `start` of p_m(K)) on columns 0..start+m, m < count.
+def poly_rows(gp, gk, den: int, count: int, start=(1,)) -> list:
+    """q[m] = D^m * (start @ p_m(K)) on columns 0..s+m-1, m < count, s = len(start).
 
-    p follows H_p's recurrence and K is monic Hessenberg; gp and gk are the
-    lower parts of D*H_p and D*K from integer_band (X's rows are empty), and
-    K's unit superdiagonal is implied.  p_m(K) commutes with K, so
+    start lists ints (e_n for row n of p_m(K)); gp and gk are the lower
+    parts of D*H_p and D*K from integer_band (X's rows are empty), K monic
+    Hessenberg with its unit superdiagonal implied.  p_m(K) commutes with K:
 
         q[m+1] = q[m] @ (D*K) - sum(G_p[m][j] * D^(m-j) * q[j] for j <= m),
 
-    from q[0] = e_start, reading rows 0..count-2 of gp, 0..start+count-2 of gk.
+    from q[0] = start, reading rows 0..count-2 of gp, 0..s+count-3 of gk.
     """
     powers = [den**k for k in range(count)]
-    q = [[0] * start + [1]]
+    q = [list(start)]
     for m in range(count - 1):
-        acc = [0] * (start + m + 2)
+        acc = [0] * (len(q[m]) + 1)
         for i, v in enumerate(q[m]):
             if v:
                 acc[i + 1] += den * v

@@ -29,6 +29,23 @@ def rand_tridiagonal_spec(rng, length):
     return HSpec.tridiagonal(beta=beta, alpha=alpha)
 
 
+def corrupt_run(monkeypatch, call, m, k, power=0):
+    """Wrap linearize.poly_rows so that its run number `call` (0 first) has
+    D^power added to q[m][k] after it returns."""
+    from polyseq import linearize
+
+    run, calls = linearize.poly_rows, []
+
+    def corrupted(gp, gk, den, count, start=(1,)):
+        q = run(gp, gk, den, count, start)
+        if len(calls) == call:
+            q[m][k] += den**power
+        calls.append(q)
+        return q
+
+    monkeypatch.setattr(linearize, "poly_rows", corrupted)
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

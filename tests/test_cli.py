@@ -350,15 +350,15 @@ def test_linearize_direct_exit_codes_without_the_pair(tmp_path, monkeypatch, cap
 
 
 @pytest.mark.parametrize("m_max, mixed, verify, calls", [
-    (4, 3, True, [6, 4, 4]),
-    (5, 1, True, [5, 5, 5]),
-    (4, 3, False, [6]),
+    (4, 3, True, [4]),
+    (5, 1, True, [5]),
+    (4, 3, False, [4]),
     (3, None, False, [3]),
 ])
 def test_connect_builds_c_pu_once_for_output_and_mixed(tmp_path, cheb_spec, herm_spec,
                                                        monkeypatch, m_max, mixed, verify, calls):
-    # C_pu is built once, at max(m_max, 2N), for the connection output and the
-    # mixed sum; verify_inverse_connection builds its own C_pu and C_up.
+    # C_pu is built once, at m_max, for the connection output; mixed_tensor and
+    # verify_inverse_connection run the row kernel on their own integer rows.
     from polyseq import linearize
     from polyseq.sequences import build_P_recurrence, realize_H
     from polyseq.serialize import connection_to_jsonable, hspec_from_jsonable, tensor_to_jsonable
@@ -504,6 +504,21 @@ def test_verify_reports_a_failing_kernel_self_check(cheb_spec, monkeypatch, caps
     assert rc == 4
     assert [line.split()[1] for line in lines] == [n for n in VERIFY_NAMES if n not in skipped]
     assert [line for line in lines if not line.startswith("ok ")] == [f"FAIL {name} (injected)"]
+
+
+def test_connect_mixed_self_check_failure_exits_3_and_writes_nothing(tmp_path, cheb_spec,
+                                                                     herm_spec, monkeypatch,
+                                                                     capsys):
+    from tests.conftest import corrupt_run
+
+    # run 0 is the connection output's, run 1 mixed_tensor's C; run 3 starts at C[1]
+    corrupt_run(monkeypatch, 3, 3, 2)
+    out = tmp_path / "conn.json"
+    rc = cli.main(["connect", "--p-spec", cheb_spec, "--u-spec", herm_spec, "--m-max", "4",
+                   "--mixed", "3", "--verify", "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: e(1,3,2) != e(3,1,2): ")
+    assert not out.exists()
 
 
 def test_connect_verify_needs_only_the_rows_of_its_window(tmp_path, herm_spec):

@@ -18,6 +18,7 @@ from polyseq import (
     FamilyParams,
     HSpec,
     PolyseqError,
+    PropertyViolationError,
     SequencePair,
     StructureError,
     TruncMatrix,
@@ -31,8 +32,10 @@ from polyseq import (
     realize_H,
     recurrence_poly_matrices,
     required_size,
+    verify_inverse_connection,
 )
 from tests.conftest import (
+    corrupt_run,
     rand_fraction,
     rand_hessenberg_rows,
     rand_nonzero_fraction,
@@ -118,20 +121,39 @@ def test_connection_matches_oracle_at_m_max_30():
         pair_of(FAMILIES["chebyshev"], t), pair_of(FAMILIES["hermite"], t), 30)
 
 
+def assert_mixed_matches_oracle(pair_p, pair_u, n_max):
+    # e(n,m,k) = sum_j d(n,m,j) * C[j][k], with d = p_m(H_p)[n][j] from full matrices
+    pnh = recurrence_poly_matrices(pair_p.H, pair_p.H, n_max)
+    conn = oracle_connection(pair_p, pair_u, 2 * n_max)
+    mixed = mixed_tensor(pair_p, pair_u, n_max)
+    for n, m, k in product(range(n_max + 1), range(n_max + 1), range(2 * n_max + 1)):
+        want = sum(pnh[m].rows[n][j] * conn[j][k] for j in range(2 * n_max + 1))
+        assert mixed.value(n, m, k) == want
+
+
 def test_mixed_tensor_matches_oracle(rng):
-    n_max = 3
-    t = required_size(n_max)
-    for pair_p, pair_u in (
-        (pair_of(FAMILIES["chebyshev"], t), pair_of(FAMILIES["charlier"], t)),
-        (pair_of(HSpec.from_rows(rand_hessenberg_rows(rng, t)), t),
-         pair_of(rand_tridiagonal_spec(rng, t), t)),
-    ):
-        pnh = recurrence_poly_matrices(pair_p.H, pair_p.H, n_max)
-        conn = oracle_connection(pair_p, pair_u, 2 * n_max)
-        mixed = mixed_tensor(pair_p, pair_u, n_max)
-        for n, m, k in product(range(n_max + 1), range(n_max + 1), range(2 * n_max + 1)):
-            want = sum(pnh[m].rows[n][j] * conn[j][k] for j in range(2 * n_max + 1))
-            assert mixed.value(n, m, k) == want
+    for n_max in (3, 8):
+        t = required_size(n_max)
+        for pair_p, pair_u in (
+            (pair_of(FAMILIES["chebyshev"], t), pair_of(FAMILIES["charlier"], t)),
+            (pair_of(HSpec.from_rows(rand_hessenberg_rows(rng, t)), t),
+             pair_of(rand_tridiagonal_spec(rng, t), t)),
+        ):
+            assert_mixed_matches_oracle(pair_p, pair_u, n_max)
+
+
+# Run 0 of mixed_tensor is C's; run n+1 starts at C[n], and its step m is e(n,m,.).
+@pytest.mark.parametrize("run, m, k, message", [
+    (2, 3, 2, r"^e\(1,3,2\) != e\(3,1,2\): "),
+    (4, 0, 2, r"^e\(0,3,2\) != e\(3,0,2\): "),
+    (3, 2, 4, r"^e\(2,2,4\) = \S+, expected 1 \(n\+m = k\)$"),
+    (1, 0, 0, r"^e\(0,0,0\) = \S+, expected 1 \(n\+m = k\)$"),
+])
+def test_mixed_tensor_self_check_names_a_corrupted_entry(monkeypatch, run, m, k, message):
+    h_p, h_u = realize_H(FAMILIES["chebyshev"], 8), realize_H(FAMILIES["charlier"], 8)
+    corrupt_run(monkeypatch, run, m, k)
+    with pytest.raises(PropertyViolationError, match=message):
+        mixed_tensor(h_p, h_u, 3)
 
 
 def test_connection_reads_no_certificate_of_p_or_a():
@@ -168,11 +190,11 @@ GATED = {
     "mixed_tensor": lambda p, u: mixed_tensor(p, u, 2),
 }
 TWO_H = ("connection_matrix", "mixed_tensor")
-LIN, CON = "lin_tensor_direct(n_max=2)", "connection_matrix(m_max=4)"
-LABEL = {"lin_tensor_direct": LIN, "lin_tensor_recurrence": "lin_tensor_recurrence(n_max=2)",
-         "connection_matrix": CON, "mixed_tensor": LIN}
+LABEL = {"lin_tensor_direct": "lin_tensor_direct(n_max=2)",
+         "lin_tensor_recurrence": "lin_tensor_recurrence(n_max=2)",
+         "connection_matrix": "connection_matrix(m_max=4)", "mixed_tensor": "mixed_tensor(n_max=2)"}
 ROWS_OF = dict.fromkeys(GATED, " on exact rows of H")
-ROWS_OF["connection_matrix"] = " on exact rows of H_p, H_u"
+ROWS_OF.update(dict.fromkeys(TWO_H, " on exact rows of H_p, H_u"))
 SHORT = " needs truncation size T >= 6, got T = 5"
 UNCERTIFIED = " needs truncation size T >= 4, got T = 3"
 SUPERDIAGONAL = (StructureError, None, "entry (0,1) must be 1, got 2")
@@ -185,7 +207,7 @@ GATE_CASES = [
     *(("short certificate", name, hermite_h(exact=3), hermite_h(),
        (WindowError, (4, 3), LABEL[name] + ROWS_OF[name] + UNCERTIFIED)) for name in GATED),
     *(("short certificate of H_u", name, hermite_h(), hermite_h(exact=3),
-       (WindowError, (4, 3), CON + " on exact rows of H_p, H_u" + UNCERTIFIED)) for name in TWO_H),
+       (WindowError, (4, 3), LABEL[name] + ROWS_OF[name] + UNCERTIFIED)) for name in TWO_H),
     *(("2 on the superdiagonal", name, hermite_h(superdiagonal=2), hermite_h(), SUPERDIAGONAL)
       for name in GATED),
     *(("2 on the superdiagonal of H_u", name, hermite_h(), hermite_h(superdiagonal=2),
@@ -258,6 +280,8 @@ def test_connection_past_64_bits(rng):
     assert lcm(*COPRIME) ** 2 > 2**64
     assert_connection_matches_oracle(pair_p, pair_u, m_max)
     assert_connection_matches_oracle(pair_u, pair_p, m_max)
+    assert_mixed_matches_oracle(pair_p, pair_u, 6)
+    assert verify_inverse_connection(pair_p, pair_u, m_max) == (True, None)
     conn = connection_matrix(pair_p.H, pair_u.H, m_max)
     assert max(v.denominator for row in conn for v in row) > 2**64
 

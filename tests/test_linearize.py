@@ -26,7 +26,7 @@ from polyseq import (
     tensors_agree,
     verify_inverse_connection,
 )
-from tests.conftest import rand_hessenberg_rows
+from tests.conftest import corrupt_run, rand_hessenberg_rows
 
 
 def pair_from_rows(rng, size):
@@ -195,23 +195,16 @@ def test_inverse_connection(cheb_pair, hermite_pair):
 @pytest.mark.parametrize("pos", [(0, 0), (3, 0), (4, 4), (5, 2), (6, 5)])
 def test_inverse_connection_reports_the_first_mismatch(cheb_pair, hermite_pair, monkeypatch,
                                                        pos):
-    # C_pu with 1 added at one entry of its triangle: the reported entry is
-    # the first row-major mismatch of the full square product C_pu @ C_up.
-    from polyseq import linearize
-
-    build = linearize.connection_matrix
-
-    def bumped(p, u, m_max):
-        c = build(p, u, m_max)
-        if p is cheb_pair:
-            c[pos[0]][pos[1]] += 1
-        return c
-
-    c_pu, c_up = bumped(cheb_pair, hermite_pair, 6), build(hermite_pair, cheb_pair, 6)
+    # C_pu with 1 added at one entry of its triangle (D^m on the integer row
+    # q_pu[m] = D^m * C_pu[m]): the reported entry is the first row-major
+    # mismatch of the full square product C_pu @ C_up in Fractions.
+    c_pu = connection_matrix(cheb_pair, hermite_pair, 6)
+    c_up = connection_matrix(hermite_pair, cheb_pair, 6)
+    c_pu[pos[0]][pos[1]] += 1
     full = [[sum((c_pu[m][k] * c_up[k][n] for k in range(7)), F(0)) for n in range(7)]
             for m in range(7)]
     first = next((m, n) for m in range(7) for n in range(7) if full[m][n] != (m == n))
-    monkeypatch.setattr(linearize, "connection_matrix", bumped)
+    corrupt_run(monkeypatch, 0, *pos, power=pos[0])  # the first run is C_pu's
     assert verify_inverse_connection(cheb_pair, hermite_pair, 6) == (False, first)
 
 

@@ -5,6 +5,7 @@ live in polyseq.crosscheck as oracles.  The README's Library and CLI blocks
 must run as written.
 """
 
+import ast
 import importlib
 import json
 import shlex
@@ -55,6 +56,15 @@ def test_no_production_module_defines_an_oracle():
         for name in ORACLES + ("_dot",):
             assert name not in names, (mod, name)
     assert not hasattr(crosscheck, "_dot")
+
+
+def test_no_production_module_imports_a_private_name_of_another():
+    for mod in PRODUCTION:
+        path = Path(polyseq.__file__).parent / f"{mod}.py"
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                private = [alias.name for alias in node.names if alias.name.startswith("_")]
+                assert not private, (mod, node.module, private)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
