@@ -15,9 +15,14 @@ them another way:
 - recurrence_poly_matrices: the full matrices p_m(M), by generic products.
   Production runs row vectors through them (sequences.poly_rows): row n of
   p_m(H) is d(n,m,.), row 0 of p_m(K) is C[m], and C[n] @ p_m(K) is e(n,m,.).
+  `verify`'s row checks read rows 0..N+1 of p_n(H) only (_poly_matrix_rows),
+  built by left multiplication in ints.
 - lin_tensor_recurrence: a fixed-k slice of d scalar by scalar from H.
 - op_lin_recurrence: the same slice from the four-term recurrence of an
   orthogonal sequence, stated on its (beta, alpha) alone.
+  The row and slice routes run in ints over a D of their own, the lcm of the
+  denominators they read (_scaled_lower, not the kernel's integer_band), and
+  build one Fraction per returned entry.
 - expand_in_basis, lin_tensor_oracle: schoolbook products and
   back-substitution in a graded monic basis; no matrix of a polynomial is
   formed, so this route is independent of the Hessenberg machinery.
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     BasisError,
@@ -43,6 +49,8 @@ from .matrix import TruncMatrix, identity, lower_tri_inverse, make_operator
 from .orthogonal import ThreeTermRecurrence
 from .polynomial import Polynomial
 from .sequences import SequencePair, check_unit_hessenberg
+
+_ZERO = Fraction(0)
 
 
 def _verify_pair(pair: SequencePair) -> None:
@@ -108,14 +116,18 @@ def build_Hhat(h: TruncMatrix) -> TruncMatrix:
 
 
 def build_P_columns(h: TruncMatrix) -> TruncMatrix:
-    """P built column-first through the right inverse.
+    """P built column-first through the right inverse Hhat = build_Hhat(h)."""
+    return _p_columns(h, build_Hhat(h))
+
+
+def _p_columns(h: TruncMatrix, hhat: TruncMatrix) -> TruncMatrix:
+    """P column by column from H and its right inverse Hhat.
 
     Column 0 is column 0 of -Hhat@H with the top entry set to 1; then
     col_{k+1} = Hhat @ col_k, both as row sums over Hhat's nonzero entries.
     Hhat has index 1, so every column is exact.
     """
     t = h.size
-    hhat = build_Hhat(h)
     col = [-sum(v * h.rows[j][0] for j, v in enumerate(row) if v) for row in hhat.rows]
     col[0] = Fraction(1)
     cols = [col]
@@ -129,8 +141,9 @@ def build_P_columns(h: TruncMatrix) -> TruncMatrix:
 def recurrence_poly_matrices(h: TruncMatrix, at: TruncMatrix, m_max: int) -> list:
     """[p_0(M), ..., p_{m_max}(M)] where the p's obey h's recurrence and M=at.
 
-    Each multiplication by the Hessenberg argument costs one certified row,
-    so p_m(M) is exact on rows 0..size-m-1 at least.
+    Each step forms at @ p_m(M) and subtracts H[m][j] * p_j(M) for j <= m
+    row by row in one pass.  Each multiplication by the Hessenberg argument
+    costs one certified row, so p_m(M) is exact on rows 0..size-m-1 at least.
     """
     if h.size != at.size:
         raise StructureError(f"size mismatch: {h.size} vs {at.size}")
@@ -138,14 +151,70 @@ def recurrence_poly_matrices(h: TruncMatrix, at: TruncMatrix, m_max: int) -> lis
         raise WindowError(m_max + 2, h.size, "polynomial matrix recurrence")
     mats = [identity(at.size)]
     for m in range(m_max):
-        nxt = at @ mats[m]
-        hrow = h.rows[m]
-        for j in range(m + 1):
-            c = hrow[j]
-            if c:
-                nxt = nxt - mats[j].scale(c)
-        mats.append(nxt)
+        prod = at @ mats[m]
+        terms = [(c, mats[j]) for j, c in enumerate(h.rows[m][: m + 1]) if c]
+        rows = []
+        for i, row in enumerate(prod.rows):
+            row = list(row)
+            for c, mat in terms:
+                for col, v in enumerate(mat.rows[i]):
+                    if v:
+                        row[col] -= c * v
+            rows.append(tuple(row))
+        mats.append(TruncMatrix._trusted(
+            tuple(rows),
+            index=min([prod.index] + [mat.index for _, mat in terms]),
+            exact_rows=min([prod.exact_rows] + [mat.exact_rows for _, mat in terms]),
+        ))
     return mats
+
+
+def _scaled_lower(h: TruncMatrix, rows: int):
+    """(D, G): G[i][j] = D * H[i][j] as ints for j <= i < rows, D the lcm of
+    the denominators of those entries; the unit superdiagonal stays implied.
+
+    The oracles scale H here, apart from the production kernel's scaling, so
+    that a wrong D there cannot make kernel and oracle agree.
+    """
+    read = [h.rows[i][: i + 1] for i in range(rows)]
+    den = lcm(*(v.denominator for row in read for v in row))
+    return den, [[v.numerator * (den // v.denominator) for v in row] for row in read]
+
+
+def _poly_matrix_rows(h: TruncMatrix, n_max: int):
+    """(D, G, q): q[n][i] = D^n * (row i of p_n(H)) on columns 0..i+n, for
+    n <= n_max and i <= 2*n_max+1-n, over (D, G) = _scaled_lower(h, 2*n_max+1).
+
+    Rows of p_{n+1}(H) = H p_n(H) - sum(H[n][j] p_j(H) for j <= n) come by
+    left multiplication (_left_row), each from rows i..i+1 of p_n(H), so the
+    window shrinks by one row per step.
+    """
+    den, g = _scaled_lower(h, 2 * n_max + 1)
+    q = [[[0] * i + [1] for i in range(2 * n_max + 2)]]
+    for n in range(n_max):
+        q.append([_left_row(den, g, q, n, i) for i in range(2 * n_max + 1 - n)])
+    return den, g, q
+
+
+def _left_row(den: int, g, q, n: int, i: int) -> list:
+    """D^(n+1) * (row i of p_{n+1}(H)) from the rows q of _poly_matrix_rows:
+
+        sum(G[i][l] q[n][l] for l <= i) + D q[n][i+1]
+        - sum(G[n][j] D^(n-j) q[j][i] for j <= n).
+    """
+    acc = [den * v for v in q[n][i + 1]]
+    for l, c in enumerate(g[i]):
+        if c:
+            for col, v in enumerate(q[n][l]):
+                if v:
+                    acc[col] += c * v
+    for j, c in enumerate(g[n]):
+        if c:
+            c *= den ** (n - j)
+            for col, v in enumerate(q[j][i]):
+                if v:
+                    acc[col] -= c * v
+    return acc
 
 
 def lin_tensor_recurrence(h: TruncMatrix, n_max: int, k: int) -> list:
@@ -158,56 +227,92 @@ def lin_tensor_recurrence(h: TruncMatrix, n_max: int, k: int) -> list:
     using the symmetry d(m,j,k) = d(j,m,k) for the last sum.  Row n is
     filled for m up to 2*n_max - n (row n+1 consumes column m+1 of row n, so
     widths shrink by one per row); the returned square block is checked for
-    symmetry as it completes.
+    symmetry as it completes.  The recurrence runs in ints on
+    q(n,m) = D^(n+m-k) * d(n,m,k), (D, G) = _scaled_lower(h, 2*n_max):
+
+        q(n+1,m) = q(n,m+1) + (G[m][m]-G[n][n]) q(n,m)
+                   + sum(G[m][j] D^(m-j) q(n,j) for j in range(m))
+                   - sum(G[n][j] D^(n-j) q(j,m) for j in range(n)),
+
+    and q = 0 where n+m < k.
     """
     if not 0 <= k <= 2 * n_max:
         raise PolyseqError(f"k must lie in 0..{2 * n_max}, got {k}")
     width0 = 2 * n_max
     (h,) = check_h_window(f"lin_tensor_recurrence(n_max={n_max})", width0, h)
-    rows = [[Fraction(1) if m == k else Fraction(0) for m in range(width0 + 1)]]
+    den, g = _scaled_lower(h, width0)
+    powers = [den**e for e in range(width0 + 1)]
+    # below[i]: (j, G[i][j] * D^(i-j)) over the nonzero entries left of the diagonal
+    below = [[(j, c * powers[i - j]) for j, c in enumerate(row[:i]) if c] for i, row in enumerate(g)]
+    q = [[1 if m == k else 0 for m in range(width0 + 1)]]
     for n in range(n_max):
-        width = width0 - (n + 1)
-        cur = rows[n]
-        hn = h.rows[n]
+        cur = q[n]
         nxt = []
-        for m in range(width + 1):
-            hm = h.rows[m]
-            v = cur[m + 1] + (hm[m] - hn[n]) * cur[m]
-            for j in range(m):
-                c = hm[j]
-                if c:
+        for m in range(width0 - n):
+            if n + 1 + m < k:
+                nxt.append(0)
+                continue
+            v = cur[m + 1]
+            c = g[m][m] - g[n][n]
+            if c and cur[m]:
+                v += c * cur[m]
+            for j, c in below[m]:
+                if cur[j]:
                     v += c * cur[j]
-            for j in range(n):
-                c = hn[j]
-                if c:
-                    v -= c * rows[j][m]
+            for j, c in below[n]:
+                if q[j][m]:
+                    v -= c * q[j][m]
             nxt.append(v)
-        rows.append(nxt)
-    return _symmetric_block(rows, n_max, k)
+        q.append(nxt)
+    return _symmetric_block(_slice_fractions(q, powers, n_max, k), n_max, k)
 
 
 def op_lin_recurrence(rec: ThreeTermRecurrence, n_max: int, k: int) -> list:
     """One fixed-k slice from the four-term recurrence of an orthogonal
-    sequence (stated in polyseq.orthogonal's docstring)."""
+    sequence (stated in polyseq.orthogonal's docstring).  It runs in ints on
+    q(n,m) = D^(n+m-k) * d(n,m,k), with B = D*beta and A = D^2*alpha:
+
+        q(n+1,m) = q(n,m+1) + (B[m]-B[n]) q(n,m) + A[m-1] q(n,m-1) - A[n-1] q(n-1,m),
+
+    D the lcm of the denominators of the coefficients read, and q = 0 where
+    n+m < k."""
     if not 0 <= k <= 2 * n_max:
         raise PolyseqError(f"k must lie in 0..{2 * n_max}, got {k}")
     width0 = 2 * n_max
     rec.require(max(width0, 1), max(width0 - 1, 0))
-    beta, alpha = rec.beta, rec.alpha
-    rows = [[Fraction(1) if m == k else Fraction(0) for m in range(width0 + 1)]]
+    beta, alpha = rec.beta[:width0], rec.alpha[: max(width0 - 1, 0)]
+    den = lcm(*(v.denominator for v in beta + alpha))
+    b = [v.numerator * (den // v.denominator) for v in beta]
+    a = [v.numerator * (den * den // v.denominator) for v in alpha]
+    q = [[1 if m == k else 0 for m in range(width0 + 1)]]
     for n in range(n_max):
-        width = width0 - (n + 1)
-        cur = rows[n]
+        cur = q[n]
         nxt = []
-        for m in range(width + 1):
-            v = cur[m + 1] + (beta[m] - beta[n]) * cur[m]
-            if m >= 1:
-                v += alpha[m - 1] * cur[m - 1]
-            if n >= 1:
-                v -= alpha[n - 1] * rows[n - 1][m]
+        for m in range(width0 - n):
+            if n + 1 + m < k:
+                nxt.append(0)
+                continue
+            v = cur[m + 1]
+            c = b[m] - b[n]
+            if c and cur[m]:
+                v += c * cur[m]
+            if m >= 1 and a[m - 1] and cur[m - 1]:
+                v += a[m - 1] * cur[m - 1]
+            if n >= 1 and a[n - 1] and q[n - 1][m]:
+                v -= a[n - 1] * q[n - 1][m]
             nxt.append(v)
-        rows.append(nxt)
-    return _symmetric_block(rows, n_max, k)
+        q.append(nxt)
+    powers = [den**e for e in range(width0 + 1)]
+    return _symmetric_block(_slice_fractions(q, powers, n_max, k), n_max, k)
+
+
+def _slice_fractions(q, powers, n_max: int, k: int) -> list:
+    """Rows n <= n_max of a slice, columns m <= n_max, as d(n,m,k) =
+    q(n,m) / D^(n+m-k): one Fraction per nonzero q."""
+    return [
+        [Fraction(v, powers[n + m - k]) if v else _ZERO for m, v in enumerate(row[: n_max + 1])]
+        for n, row in enumerate(q[: n_max + 1])
+    ]
 
 
 def _symmetric_block(rows, n_max: int, k: int) -> list:

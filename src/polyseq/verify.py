@@ -9,16 +9,16 @@ kernel's self-check failed and the checks that read its result were left out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .crosscheck import (
+    _left_row,
+    _p_columns,
+    _poly_matrix_rows,
     _verify_pair,
     build_Hhat,
-    build_P_columns,
     lin_tensor_oracle,
     lin_tensor_recurrence,
     op_lin_recurrence,
-    recurrence_poly_matrices,
 )
 from .errors import PropertyViolationError, StructureError, ZeroAlphaError
 from .linearize import LinTensor, lin_tensor_direct, required_size, tensors_agree
@@ -54,12 +54,12 @@ def run_suite(spec: HSpec, n_max: int, size: int | None = None) -> list:
         failure = _attempt(lambda: _verify_pair(pair))[1]  # again on its Fractions
     record("pair-invariants", failure is None, failure or "A@P = I, A@H = X@A, H@P = P@X")
 
+    hhat = build_Hhat(h)
     if pair is not None:
         record("A-rows-vs-inverse", lower_tri_inverse(pair.P) == pair.A)
-        p_cols = build_P_columns(h)
+        p_cols = _p_columns(h, hhat)
         record("P-columns-vs-recurrence", p_cols == pair.P)
 
-    hhat = build_Hhat(h)
     prod = h @ hhat
     ident = make_operator("I", t)
     record("H-right-inverse", prod.equal_on_window(ident))
@@ -97,16 +97,9 @@ def run_suite(spec: HSpec, n_max: int, size: int | None = None) -> list:
                     ok = False
         record("product-reconstruction", ok)
 
-    ok = True
-    mats = recurrence_poly_matrices(h, h, n_max)  # row checks read p_0..p_n_max
-    for n in range(n_max + 1):
-        for m in range(n_max + 1):
-            if mats[n].rows[m] != mats[m].rows[n]:
-                ok = False
-    record("row-identity", ok)
-
-    ok = _row_recurrence_holds(h, mats, n_max)
-    record("row-recurrence", ok)
+    identity_ok, recurrence_ok = _row_checks(h, n_max)
+    record("row-identity", identity_ok)
+    record("row-recurrence", recurrence_ok)
 
     try:
         rec = ThreeTermRecurrence(*recurrence_coefficients(h))
@@ -152,33 +145,20 @@ def _attempt(build):
         return None, str(exc)
 
 
-def _row_recurrence_holds(h, mats, n_max) -> bool:
-    # Row m of p_{n+1}(H) = H @ p_n(H) - sum(H[n][j] * p_j(H) for j <= n),
-    # read on row m:
-    # Row_m(p_{n+1}(H)) = sum_{j<=m+1} H[m][j] Row_j(p_n(H))
-    #                     - sum_{j<=n} H[n][j] Row_m(p_j(H)).
-    t = h.size
-    for n in range(n_max):
-        for m in range(n_max + 1):
-            lhs = mats[n + 1].rows[m]
-            acc = [Fraction(0)] * t
-            for j in range(m + 2):
-                if j >= t:
-                    break
-                c = h.rows[m][j]
-                if c:
-                    rowj = mats[n].rows[j]
-                    for kk in range(t):
-                        acc[kk] += c * rowj[kk]
-            for j in range(n + 1):
-                c = h.rows[n][j]
-                if c:
-                    rowm = mats[j].rows[m]
-                    for kk in range(t):
-                        acc[kk] -= c * rowm[kk]
-            # Columns beyond the certified window of the deepest factor are
-            # not comparable; every column up to size-1 is certified here
-            # because m, n <= n_max and t >= 2*n_max + 2.
-            if lhs != tuple(acc):
-                return False
-    return True
+def _row_checks(h, n_max) -> tuple:
+    """(row-identity, row-recurrence) on q[n][i] = D^n * (row i of p_n(H)),
+    the rows 0..n_max+1 the checks read: row m of p_n(H) equals row n of
+    p_m(H), and row m of p_{n+1}(H) = H @ p_n(H) - sum(H[n][j] * p_j(H)
+    for j <= n), read on row m (the left identity that builds the rows)."""
+    den, g, q = _poly_matrix_rows(h, n_max)
+    identity = all(
+        [v * den**m for v in q[n][m]] == [v * den**n for v in q[m][n]]
+        for n in range(n_max + 1)
+        for m in range(n)
+    )
+    recurrence = all(
+        q[n + 1][m] == _left_row(den, g, q, n, m)
+        for n in range(n_max)
+        for m in range(n_max + 1)
+    )
+    return identity, recurrence
