@@ -16,7 +16,8 @@ them another way:
   Production runs row vectors through them (sequences.poly_rows): row n of
   p_m(H) is d(n,m,.), row 0 of p_m(K) is C[m], and C[n] @ p_m(K) is e(n,m,.).
   `verify`'s row checks read rows 0..N+1 of p_n(H) only (_poly_matrix_rows),
-  built by left multiplication in ints.
+  built in ints by right multiplication, p_n(H) H, and checked by left,
+  H p_n(H) (_left_row), so a fault in either side shows.
 - lin_tensor_recurrence: a fixed-k slice of d scalar by scalar from H.
 - op_lin_recurrence: the same slice from the four-term recurrence of an
   orthogonal sequence, stated on its (beta, alpha) alone.
@@ -185,15 +186,37 @@ def _poly_matrix_rows(h: TruncMatrix, n_max: int):
     """(D, G, q): q[n][i] = D^n * (row i of p_n(H)) on columns 0..i+n, for
     n <= n_max and i <= 2*n_max+1-n, over (D, G) = _scaled_lower(h, 2*n_max+1).
 
-    Rows of p_{n+1}(H) = H p_n(H) - sum(H[n][j] p_j(H) for j <= n) come by
-    left multiplication (_left_row), each from rows i..i+1 of p_n(H), so the
-    window shrinks by one row per step.
+    Rows of p_{n+1}(H) = p_n(H) H - sum(H[n][j] p_j(H) for j <= n) come by
+    right multiplication (_right_row), each from row i of p_n(H); the window
+    shrinks by one row per step, as _left_row, which checks them, needs.
     """
     den, g = _scaled_lower(h, 2 * n_max + 1)
+    band = [[(j, c) for j, c in enumerate(row) if c] for row in g]
     q = [[[0] * i + [1] for i in range(2 * n_max + 2)]]
     for n in range(n_max):
-        q.append([_left_row(den, g, q, n, i) for i in range(2 * n_max + 1 - n)])
+        q.append([_right_row(den, band, q, n, i) for i in range(2 * n_max + 1 - n)])
     return den, g, q
+
+
+def _right_row(den: int, band, q, n: int, i: int) -> list:
+    """D^(n+1) * (row i of p_{n+1}(H)) from the rows q of _poly_matrix_rows,
+    with band[l] the (j, G[l][j]) for G[l][j] != 0:
+
+        q[n][i] @ G + D * (q[n][i] shifted one column right)
+        - sum(G[n][j] D^(n-j) q[j][i] for j <= n).
+    """
+    row = q[n][i]
+    acc = [0] + [den * v for v in row]
+    for l, v in enumerate(row):
+        if v:
+            for col, c in band[l]:
+                acc[col] += v * c
+    for j, c in band[n]:
+        c *= den ** (n - j)
+        for col, v in enumerate(q[j][i]):
+            if v:
+                acc[col] -= c * v
+    return acc
 
 
 def _left_row(den: int, g, q, n: int, i: int) -> list:

@@ -18,8 +18,9 @@ started at e_n.  That is sequences.poly_rows, the library's one row kernel,
 run in integers over one denominator D of the entries of H it reads, once
 for each n <= N, and normalised to Fractions once at the end.  The scalar
 recurrence for a fixed-k slice, which restates the same object, is an oracle
-in crosscheck.  The slices satisfy four structural identities (validated on
-the integer rows):
+in crosscheck.  The slices satisfy four structural identities; the first
+and third are checked on the integer rows (_run_tensor, which e shares), and
+the other two follow from the runs' lengths and starts:
 
     d(n,m,k) = d(m,n,k);  d = 0 if n+m < k;  d = 1 if n+m = k;
     d(0,m,k) = 1 if m == k else 0.
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .errors import PropertyViolationError, StructureError, WindowError
 from .matrix import TruncMatrix, poly_of_matrix
@@ -116,71 +116,55 @@ def check_h_window(what: str, rows: int, *hs) -> tuple:
     return hs
 
 
-def _check_d_properties(q, powers, n_max: int) -> None:
-    """The four slice identities on d(n,m,k) = q[m][n][k] / D^m, in integers.
-
-    Symmetry is compared as q[m][n][k] == q[n][m][k] * D^(m-n) for n < m
-    (the pair (m, n) repeats it); Fractions are built only for a message.
-    """
-    def d(n, m, k):
-        return Fraction(q[m][n][k], powers[m])
-
-    for k in range(2 * n_max + 1):
-        for n in range(n_max + 1):
-            qn = q[n]
-            for m in range(n_max + 1):
-                v = q[m][n][k]
-                if n < m and v != qn[m][k] * powers[m - n]:
-                    raise PropertyViolationError(
-                        f"d({n},{m},{k}) != d({m},{n},{k}): {d(n, m, k)} vs {d(m, n, k)}"
-                    )
-                if n + m < k and v != 0:
-                    raise PropertyViolationError(
-                        f"d({n},{m},{k}) = {d(n, m, k)}, expected 0 (n+m < k)"
-                    )
-                if n + m == k and v != powers[m]:
-                    raise PropertyViolationError(
-                        f"d({n},{m},{k}) = {d(n, m, k)}, expected 1 (n+m = k)"
-                    )
-                if n == 0 and v != (powers[m] if m == k else 0):
-                    raise PropertyViolationError(
-                        f"d(0,{m},{k}) = {d(n, m, k)}, expected {1 if m == k else 0}"
-                    )
-
-
 def lin_tensor_direct(h: TruncMatrix | SequencePair, n_max: int) -> LinTensor:
     """All slices k = 0..2*n_max: d(n,m,k) = p_m(H)[n][k] for n, m <= N = n_max.
 
     h is the truncation H (a SequencePair stands for its H).  One run of
-    sequences.poly_rows from e_n gives row n of p_0(H)..p_N(H), in integers
-    as q[m][n] = D^m * row n of p_m(H), with D the lcm of the denominators
-    of the entries read.  The runs read rows 0..2N-1 of H (check_h_window:
-    T >= required_size(n_max)).  The slice identities are checked on q,
-    symmetry as the runs from e_n and e_m against each other, and each
-    entry is normalised once, as Fraction(q, D^m).  The entries equal those
-    of crosscheck.recurrence_poly_matrices(H, H, N).
+    sequences.poly_rows from e_n gives D^m * row n of p_m(H) at step m, with
+    D the lcm of the denominators of the entries read.  The runs read rows
+    0..2N-1 of H (check_h_window: T >= required_size(n_max)).  _run_tensor
+    checks symmetry (the runs from e_n and e_m) and d(n,m,n+m) = 1 in
+    integers; d(0,m,.) = e_m follows from symmetry with the run from e_m,
+    whose step 0 is its start, and the zeros past n+m from the run lengths.
+    The entries equal those of crosscheck.recurrence_poly_matrices(H, H, N).
     """
     last = 2 * n_max
     (h,) = check_h_window(f"lin_tensor_direct(n_max={n_max})", last, h)
     den, (g,) = integer_band(last, h)
-    powers = [den**m for m in range(n_max + 1)]
     runs = [poly_rows(g, g, den, n_max + 1, start=[0] * n + [1]) for n in range(n_max + 1)]
-    # q[m][n] = row n of q_m on columns 0..2N
-    q = [[run[m] + [0] * (last - n - m) for n, run in enumerate(runs)] for m in range(n_max + 1)]
-    _check_d_properties(q, powers, n_max)
-    return _symmetric_tensor(n_max, runs, lambda n, m: powers[m])
+    return _run_tensor("d", runs, den, lambda n, m: m)
 
 
-def _symmetric_tensor(n_max: int, runs, power) -> LinTensor:
-    """The tensor (n,m,k) -> runs[n][m][k] / power(n, m), read for n <= m and symmetric."""
+def _run_tensor(name: str, runs, den: int, exponent) -> LinTensor:
+    """The tensor (n,m,k) -> runs[n][m][k] / D^exponent(n, m), checked in ints.
+
+    For n <= m, in one pass: run n at step m must equal run m at step n times
+    D^(exponent(n, m) - exponent(m, n)) (symmetry), its entry n+m must be
+    D^exponent(n, m) (the top coefficient 1), and each nonzero entry becomes
+    one Fraction, stored at (n, m) and (m, n).
+    """
+    n_max = len(runs) - 1
+    powers = [den**e for e in range(2 * n_max + 1)]
     zero = Fraction(0)
     slices = [[[zero] * (n_max + 1) for _ in range(n_max + 1)] for _ in range(2 * n_max + 1)]
     for n, run in enumerate(runs):
         for m in range(n, n_max + 1):
-            den = power(n, m)
-            for k, v in enumerate(run[m]):
+            row, other, e = run[m], runs[m][n], exponent(n, m)
+            top, shift = powers[e], e - exponent(m, n)
+            want = [v * powers[shift] for v in other] if shift else other
+            if row != want:
+                k = next(k for k, v in enumerate(row) if v != want[k])
+                raise PropertyViolationError(
+                    f"{name}({n},{m},{k}) != {name}({m},{n},{k}): "
+                    f"{Fraction(row[k], top)} vs {Fraction(other[k], powers[e - shift])}"
+                )
+            if row[n + m] != top:
+                raise PropertyViolationError(
+                    f"{name}({n},{m},{n + m}) = {Fraction(row[n + m], top)}, expected 1 (n+m = k)"
+                )
+            for k, v in enumerate(row):
                 if v:
-                    slices[k][n][m] = slices[k][m][n] = Fraction(v, den)
+                    slices[k][n][m] = slices[k][m][n] = Fraction(v, top)
     return LinTensor.from_slices(n_max, slices.__getitem__)
 
 
@@ -208,29 +192,15 @@ def mixed_tensor(p, u, n_max: int) -> LinTensor:
     sequences.poly_rows gives q_C[n] = D^n * C[n], as in connection_matrix,
     and one run from each q_C[n] gives D^(n+m) * e(n,m,.) at step m.  They
     read rows 0..2N-1 of H_u and 0..N-1 of H_p; the gate asks 2N certified
-    rows of both (T >= 2N+2).  Symmetry (the runs from C[n] and C[m]) and
-    e(n,m,n+m) = 1 are checked in integers; e(0,m,.) = C[m] and the zeros
-    past n+m hold by construction."""
+    rows of both (T >= 2N+2).  _run_tensor checks symmetry (the runs from
+    C[n] and C[m]) and e(n,m,n+m) = 1 in integers; e(0,m,.) = C[m] and the
+    zeros past n+m hold by construction."""
     last = 2 * n_max
     hp, hu = check_h_window(f"mixed_tensor(n_max={n_max})", last, p, u)
     den, (gp, gu) = integer_band(last, hp, hu)
     q_c = poly_rows(gp, gu, den, n_max + 1)
     runs = [poly_rows(gp, gu, den, n_max + 1, start=row) for row in q_c]
-    powers = [den**k for k in range(last + 1)]
-
-    def e(n, m, k):
-        return Fraction(runs[n][m][k], powers[n + m])
-
-    for n, m in product(range(n_max + 1), repeat=2):
-        row, other = runs[n][m], runs[m][n]
-        if m > n and row != other:
-            k = next(k for k, v in enumerate(row) if v != other[k])
-            raise PropertyViolationError(f"e({n},{m},{k}) != e({m},{n},{k}): "
-                                         f"{e(n, m, k)} vs {e(m, n, k)}")
-        if row[n + m] != powers[n + m]:
-            raise PropertyViolationError(f"e({n},{m},{n + m}) = {e(n, m, n + m)}, "
-                                         "expected 1 (n+m = k)")
-    return _symmetric_tensor(n_max, runs, lambda n, m: powers[n + m])
+    return _run_tensor("e", runs, den, lambda n, m: n + m)
 
 
 def verify_inverse_connection(p, u, m_max: int):

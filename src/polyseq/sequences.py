@@ -16,7 +16,8 @@ denominators in H's lower part), by poly_rows, the library's one row
 kernel: row m of A is row 0 of H^m and row m of P is row 0 of p_m(X), and
 linearize reads d and C off the same kernel.  Each entry becomes a Fraction
 once, after A@P = I and A@H = X@A (which imply H@P = P@X) have been checked
-on the integer rows by code that shares nothing with the kernel.
+on the integer rows by code that shares nothing with the kernel: it scales
+H by D itself and demands that D clear every denominator it reads.
 
 Rows of A are the coefficients of the inverse sequence u_k (the expansion of
 t^k in the p-basis), and column 0 of A lists the moments of the linear
@@ -195,16 +196,15 @@ def build_P_recurrence(h: TruncMatrix) -> SequencePair:
     return SequencePair(H=h, A=a, P=p, polys=polys)
 
 
-def integer_band(rows: int, *hs: TruncMatrix, den: int | None = None):
+def integer_band(rows: int, *hs: TruncMatrix):
     """(D, [G, ...]): each H's lower part on rows 0..rows-1, in ints over one D.
 
     G[i] lists (j, D * H[i][j]) for the nonzero entries j <= i of row i; the
     unit superdiagonal is left implied.  D is the lcm of the denominators of
-    the entries read, in every H, unless the caller gives it.
+    the entries read, in every H.
     """
     read = [[h.rows[i][: i + 1] for i in range(rows)] for h in hs]
-    if den is None:
-        den = lcm(*(v.denominator for r in read for row in r for v in row))
+    den = lcm(*(v.denominator for r in read for row in r for v in row))
     return den, [
         [[(j, v.numerator * (den // v.denominator)) for j, v in enumerate(row) if v] for row in r]
         for r in read
@@ -262,8 +262,9 @@ def _check_integer_pair(h: TruncMatrix, qa, qp, den: int) -> None:
     # crosscheck._verify_pair on A = q_A / D^j and P = q_P / D^j by rows, in
     # integers, with its windows, its order and its messages.  Row i of A@P
     # times D^(2i) is sum(q_A[i][j] * D^(i-j) * q_P[j]); row i of A@H times
-    # D^(i+1) is q_A[i] @ G, where X@A has q_A[i+1].  Entries are dot
-    # products with columns, which share no loop with the row recurrences.
+    # D^(i+1) is q_A[i] @ (D*H), where X@A has q_A[i+1].  Entries are dot
+    # products with columns, which share no loop with the row recurrences,
+    # and D*H is scaled here from h.rows, apart from the kernel's integer_band.
     t = h.size
     powers = [den**k for k in range(2 * t - 1)]
     pcols = [[qp[j][k] for j in range(k, t)] for k in range(t)]  # from row k down
@@ -272,10 +273,13 @@ def _check_integer_pair(h: TruncMatrix, qa, qp, den: int) -> None:
         for k in range(i + 1):
             if sum(map(mul, arow[k:], pcols[k])) != (powers[2 * i] if k == i else 0):
                 raise PropertyViolationError("A @ P differs from the identity")
-    gcols = [[] for _ in range(t)]  # gcols[j]: the (i, G[i][j]) with G[i][j] != 0, i rising
-    for i, row in enumerate(integer_band(t, h, den=den)[1][0]):
-        for j, c in row:
-            gcols[j].append((i, c))
+    gcols = [[] for _ in range(t)]  # gcols[j]: the (i, D*H[i][j]) with H[i][j] != 0, i rising
+    for i, row in enumerate(h.rows):
+        for j, v in enumerate(row[: i + 1]):
+            if v:
+                if den % v.denominator:
+                    raise PropertyViolationError(f"D = {den} does not clear H[{i}][{j}] = {v}")
+                gcols[j].append((i, v.numerator * (den // v.denominator)))
         if i + 1 < t:
             gcols[i + 1].append((i, den))
     # A@H and X@A are both certified on min(er(H), T-1) rows.  H@P = P@X is

@@ -149,7 +149,8 @@ def _row_checks(h, n_max) -> tuple:
     """(row-identity, row-recurrence) on q[n][i] = D^n * (row i of p_n(H)),
     the rows 0..n_max+1 the checks read: row m of p_n(H) equals row n of
     p_m(H), and row m of p_{n+1}(H) = H @ p_n(H) - sum(H[n][j] * p_j(H)
-    for j <= n), read on row m (the left identity that builds the rows)."""
+    for j <= n), read on row m (the left identity; the rows are built by
+    right multiplication)."""
     den, g, q = _poly_matrix_rows(h, n_max)
     identity = all(
         [v * den**m for v in q[n][m]] == [v * den**n for v in q[m][n]]

@@ -44,10 +44,9 @@ from polyseq import (
     tensors_agree,
 )
 from polyseq import sequences
-from polyseq.linearize import _check_d_properties
 from polyseq.crosscheck import _verify_pair
 from polyseq.sequences import _check_integer_pair, _integer_rows
-from tests.conftest import rand_fraction, rand_hessenberg_rows, rand_nonzero_fraction
+from tests.conftest import corrupt_run, rand_fraction, rand_hessenberg_rows, rand_nonzero_fraction
 from tests.test_linearize import recurrence_tensor
 
 
@@ -300,10 +299,15 @@ def violation_kind(message):
     return "row 0"
 
 
-def test_integer_check_fails_like_the_fraction_check():
-    # d(n,m,k) is changed, alone or together with d(m,n,k), by an amount that
-    # keeps D^m * d integral, so that each identity is the first to fail in
-    # some cases; the integer check must raise the Fraction check's message.
+def test_integer_check_fails_like_the_fraction_check(monkeypatch):
+    # One entry of one lin_tensor_direct run (run n is call n, from e_n) is
+    # changed by D^power; the kernel must raise what the Fraction check
+    # raises on the tensor the corrupted runs give, d(n,m,k) = run n at step
+    # m over D^m.  Step m of run n lists columns 0..n+m only, so no run entry
+    # lies where n+m < k ("zero"), and a changed d(0,m,k) or d(m,0,k) with
+    # m > 0 breaks symmetry with the other first ("row 0").
+    from polyseq import linearize
+
     rng = random.Random(11)
     kinds = set()
     for _ in range(300):
@@ -311,26 +315,23 @@ def test_integer_check_fails_like_the_fraction_check():
         t = required_size(n_max)
         h = realize_H(coprime_tridiagonal_spec(rng, t), t)
         den = kernel_denominator(h, n_max)
-        powers = [den**m for m in range(n_max + 1)]
-        d = [[list(row) for row in sl] for sl in lin_tensor_direct(h, n_max).slices]
         n = 0 if rng.random() < 0.3 else rng.randint(0, n_max)
-        m, k = rng.randint(0, n_max), rng.randint(0, 2 * n_max)
-        both = rng.random() < 0.6
-        if min(n, m) if both else m:
-            delta = rng.choice((1, -1, F(1, den), F(-2, den)))
-        else:
-            delta = rng.choice((1, -1, 2))
-        d[k][n][m] += delta
-        if both:
-            d[k][m][n] = d[k][n][m]
-        q = [[[d[kk][i][j] * powers[j] for kk in range(2 * n_max + 1)]
-              for i in range(n_max + 1)] for j in range(n_max + 1)]
-        assert all(v.denominator == 1 for qj in q for row in qj for v in row)
-        q = [[[int(v) for v in row] for row in qj] for qj in q]
-        got = outcome(lambda _: _check_d_properties(q, powers, n_max), None)
+        m = rng.randint(0, n_max)
+        runs = []
+        with monkeypatch.context() as mp:
+            corrupt_run(mp, n, m, rng.randint(0, n + m), rng.randint(0, n_max))
+
+            def recorded(*args, run=linearize.poly_rows, **kwargs):
+                runs.append(run(*args, **kwargs))
+                return runs[-1]
+
+            mp.setattr(linearize, "poly_rows", recorded)
+            got = outcome(lambda _: lin_tensor_direct(h, n_max), None)
+        d = [[[F(runs[i][j][k], den**j) if k <= i + j else F(0) for j in range(n_max + 1)]
+              for i in range(n_max + 1)] for k in range(2 * n_max + 1)]
         assert got == outcome(lambda _: seed_validate_d_properties(d, n_max), None)
         kinds.add(violation_kind(got))
-    assert kinds == {None, "symmetry", "zero", "one", "row 0"}
+    assert kinds == {None, "symmetry", "one"}
 
 
 # -- the pair self-check ------------------------------------------------------------
@@ -613,6 +614,32 @@ def test_build_checks_the_unit_superdiagonal_before_any_arithmetic(monkeypatch, 
         build_P_recurrence(h)
     assert str(got.value) == str(expected.value)
     assert f"entry ({entry[0]},{entry[1]})" in str(got.value)
+
+
+def test_pair_check_scales_h_apart_from_the_kernel(monkeypatch):
+    # D is added to D*H[2][1] in the kernel's integer_band: A and P stay
+    # inverse to each other, but A@H = X@A fails against the D*H the check
+    # scales from h.rows itself.
+    band = sequences.integer_band
+
+    def shifted(rows, *hs):
+        den, gs = band(rows, *hs)
+        gs[0][2] = [(j, c + den if j == 1 else c) for j, c in gs[0][2]]
+        return den, gs
+
+    monkeypatch.setattr(sequences, "integer_band", shifted)
+    with pytest.raises(PropertyViolationError,
+                       match=r"^A @ H and X @ A disagree on the exact window$"):
+        build_P_recurrence(realize_H(HSpec.from_family(FamilyParams("charlier", F(3, 7))), 8))
+
+
+def test_pair_check_demands_a_d_that_clears_h():
+    # Rows of A and P read rows 0..T-2 of H, so a last row with a new
+    # denominator leaves them as they are; the check scales all of h.rows.
+    h = realize_H(HSpec.from_family(FamilyParams("charlier", F(3, 7))), 8)
+    qa, qp, den = _integer_rows(h)
+    with pytest.raises(PropertyViolationError, match=r"^D = 7 does not clear H\[7\]\[0\] = 1/11$"):
+        _check_integer_pair(with_entry(h, 7, 0, F(1, 11)), qa, qp, den)
 
 
 # -- H's certificate ----------------------------------------------------------------

@@ -483,7 +483,7 @@ def test_connect_builds_no_pair(tmp_path, cheb_spec, herm_spec, monkeypatch,
 
 
 @pytest.mark.parametrize("target, name, skipped", [
-    ("polyseq.linearize._check_d_properties", "direct-tensor-properties",
+    ("polyseq.linearize._run_tensor", "direct-tensor-properties",
      {"direct-vs-recurrence", "direct-vs-oracle", "product-reconstruction",
       "direct-vs-four-term", "support-bound"}),
     ("polyseq.sequences._check_integer_pair", "pair-invariants",
@@ -504,6 +504,28 @@ def test_verify_reports_a_failing_kernel_self_check(cheb_spec, monkeypatch, caps
     assert rc == 4
     assert [line.split()[1] for line in lines] == [n for n in VERIFY_NAMES if n not in skipped]
     assert [line for line in lines if not line.startswith("ok ")] == [f"FAIL {name} (injected)"]
+
+
+def test_verify_row_recurrence_fails_on_a_faulty_left_row(tmp_path, monkeypatch, capsys):
+    # The rows are built by right multiplication and checked by the left
+    # identity, so a left row off at (n=1, i=0) fails row-recurrence alone.
+    from polyseq import crosscheck, verify
+
+    left_row = crosscheck._left_row
+
+    def off(den, g, q, n, i):
+        row = left_row(den, g, q, n, i)
+        if (n, i) == (1, 0):
+            row[0] += 1
+        return row
+
+    for module in (crosscheck, verify):
+        monkeypatch.setattr(module, "_left_row", off)
+    spec = write_spec(tmp_path, "charlier.json", {"type": "charlier", "a": "3/7"})
+    rc = cli.main(["verify", "--h-spec", spec, "--n-max", "4", "--verbose"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 4
+    assert [line for line in lines if not line.startswith("ok ")] == ["FAIL row-recurrence"]
 
 
 def test_connect_mixed_self_check_failure_exits_3_and_writes_nothing(tmp_path, cheb_spec,
