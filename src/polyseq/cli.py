@@ -22,14 +22,7 @@ import os
 import sys
 
 from .errors import MismatchError, PolyseqError, SchemaError, WindowError
-from .families import (
-    FamilyParams,
-    cheby_series_p,
-    family_pnh_closed,
-    family_slice_closed,
-    hermite_exp_p,
-    slice_closed_size,
-)
+from .families import FamilyParams, closed_d, slice_closed_size
 from .linearize import (
     connection_matrix,
     lin_tensor_direct,
@@ -39,6 +32,7 @@ from .linearize import (
     tensors_agree,
     verify_inverse_connection,
 )
+from .matrix import TruncMatrix
 from .orthogonal import recurrence_coefficients
 from .sequences import build_P_recurrence, realize_H, tau_moments
 from .serialize import (
@@ -189,7 +183,7 @@ def _cmd_family(args) -> int:
     if spec.kind != "family":
         raise SchemaError("family subcommand needs a family-type H spec")
     params: FamilyParams = spec.family
-    # --slice builds at its own internal size; only --pnh and --series use T
+    # only --pnh and --series use T; --slice keeps the operator sum's size as its cap
     wants_rows = args.pnh + 2 if args.pnh is not None else 2
     size = _resolve_size(args.size, wants_rows, "family")
     if args.slice is not None:
@@ -197,25 +191,25 @@ def _cmd_family(args) -> int:
     payload = {}
     if args.pnh is not None:
         _progress(args, f"closed-form p_n(H), n={args.pnh}, T={size}")
-        payload["pnh"] = matrix_to_jsonable(family_pnh_closed(params, args.pnh, size))
+        n = args.pnh  # row i of p_n(H) is d(i, n, .)
+        rows = tuple(tuple(closed_d(params, i, n, k) for k in range(size)) for i in range(size))
+        payload["pnh"] = matrix_to_jsonable(TruncMatrix._trusted(rows, index=-n, exact_rows=size))
     if args.slice is not None:
         _progress(args, f"closed-form slice k={args.slice}, n_max={args.n_max}")
-        grid = family_slice_closed(params, args.slice, args.n_max)
+        span = range(args.n_max + 1)
         payload["slice"] = {
             "k": args.slice,
-            "matrix": [[rat_to_str(v) for v in row] for row in grid],
+            "matrix": [[rat_to_str(closed_d(params, n, m, args.slice)) for m in span]
+                       for n in span],
         }
     if args.series:
         _progress(args, f"series form of P at T={size}")
-        if params.name == "chebyshev":
-            payload["series_p"] = matrix_to_jsonable(cheby_series_p(params, size))
-        elif params.name == "hermite":
-            payload["series_p"] = matrix_to_jsonable(hermite_exp_p(params, size))
-            payload["series_p_inverse"] = matrix_to_jsonable(
-                hermite_exp_p(params, size, inverse=True)
-            )
-        else:
+        if params.name == "charlier":
             raise PolyseqError("series form of P exists for chebyshev and hermite only")
+        pair = build_P_recurrence(realize_H(spec, size))
+        payload["series_p"] = matrix_to_jsonable(pair.P)
+        if params.name == "hermite":
+            payload["series_p_inverse"] = matrix_to_jsonable(pair.A)
     if not payload:
         raise SchemaError("family: nothing requested (use --pnh, --slice or --series)")
     write_json(args.out, payload)

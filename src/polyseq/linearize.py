@@ -40,9 +40,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import PropertyViolationError, StructureError, WindowError
-from .matrix import TruncMatrix, poly_of_matrix
+from .matrix import TruncMatrix
 from .polynomial import Polynomial
 from .sequences import SequencePair, check_unit_hessenberg, integer_band, poly_rows
 
@@ -82,16 +83,21 @@ def required_size(n_max: int) -> int:
 def linearize_with_w(h, w: Polynomial, n: int) -> list:
     """Coefficients of p_n * w in the p-basis: row n of w(H), length n+deg+1.
 
-    h is H (a SequencePair stands for its H)."""
-    h = _h(h)
+    h is H (a SequencePair stands for its H).  One run of sequences.poly_rows
+    from e_n, with X's empty band as p, gives D^j * (row n of H^j) at step j.
+    It reads rows 0..n+deg-1 of H (check_h_window: T >= n+deg+2)."""
     deg = max(w.degree, 0)
-    required = n + deg + 2
-    if h.size < required:
-        raise WindowError(required, h.size, f"linearize_with_w(n={n}, deg={deg})")
-    wh = poly_of_matrix(w, h)
-    if n >= wh.exact_rows:
-        raise WindowError(required, h.size, f"row {n} of w(H)")
-    return list(wh.rows[n][: n + deg + 1])
+    (h,) = check_h_window(f"linearize_with_w(n={n}, deg={deg})", n + deg, h)
+    den, (g,) = integer_band(n + deg, h)
+    runs = poly_rows([()] * deg, g, den, deg + 1, start=[0] * n + [1])
+    wden = lcm(*(c.denominator for c in w.coeffs))
+    acc = [0] * (n + deg + 1)
+    for j, (c, run) in enumerate(zip(w.coeffs, runs)):
+        c = c.numerator * (wden // c.denominator) * den ** (deg - j)
+        for k, v in enumerate(run):
+            acc[k] += c * v
+    top = wden * den**deg
+    return [Fraction(v, top) for v in acc]
 
 
 def check_h_window(what: str, rows: int, *hs) -> tuple:

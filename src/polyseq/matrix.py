@@ -40,7 +40,6 @@ _OPERATORS = {
     "D": (1, lambda i: i),  # derivative in the monomial basis: D[k+1][k] = k+1
     "Dhat": (-1, lambda i: i + 1),  # transpose of D
     "I": (0, lambda i: 1),  # identity
-    "J0": (0, lambda i: 1 if i else 0),  # identity with the (0,0) entry zeroed
 }
 OPERATOR_KINDS = tuple(_OPERATORS)
 
@@ -292,8 +291,3 @@ def equal_on_window(a: TruncMatrix, b: TruncMatrix) -> bool:
             if ra[k] != rb[k]:
                 return False
     return True
-
-
-def window_rows(a: TruncMatrix, b: TruncMatrix) -> int:
-    """Number of leading rows on which a and b are both certified exact."""
-    return min(a.exact_rows, b.exact_rows)

@@ -238,10 +238,10 @@ def test_family_slice_respects_max_t(tmp_path, cheb_spec, monkeypatch):
     out = tmp_path / "fam.json"
 
     def no_work(*args):
-        raise AssertionError("family_slice_closed ran on an oversize request")
+        raise AssertionError("closed_d ran on an oversize request")
 
     with monkeypatch.context() as m:
-        m.setattr(cli, "family_slice_closed", no_work)
+        m.setattr(cli, "closed_d", no_work)
         rc = cli.main(["family", "--h-spec", cheb_spec, "--slice", "15",
                        "--n-max", "15", "--out", str(out)])
     assert rc == 3

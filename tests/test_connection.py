@@ -17,6 +17,7 @@ import pytest
 from polyseq import (
     FamilyParams,
     HSpec,
+    Polynomial,
     PolyseqError,
     PropertyViolationError,
     SequencePair,
@@ -27,6 +28,7 @@ from polyseq import (
     connection_matrix,
     lin_tensor_direct,
     lin_tensor_recurrence,
+    linearize_with_w,
     lower_bandwidth,
     mixed_tensor,
     realize_H,
@@ -188,11 +190,13 @@ GATED = {
     "lin_tensor_recurrence": lambda p, u: lin_tensor_recurrence(p, 2, 0),
     "connection_matrix": lambda p, u: connection_matrix(p, u, 4),
     "mixed_tensor": lambda p, u: mixed_tensor(p, u, 2),
+    "linearize_with_w": lambda p, u: linearize_with_w(p, Polynomial((0, 0, 1)), 2),
 }
 TWO_H = ("connection_matrix", "mixed_tensor")
 LABEL = {"lin_tensor_direct": "lin_tensor_direct(n_max=2)",
          "lin_tensor_recurrence": "lin_tensor_recurrence(n_max=2)",
-         "connection_matrix": "connection_matrix(m_max=4)", "mixed_tensor": "mixed_tensor(n_max=2)"}
+         "connection_matrix": "connection_matrix(m_max=4)", "mixed_tensor": "mixed_tensor(n_max=2)",
+         "linearize_with_w": "linearize_with_w(n=2, deg=2)"}
 ROWS_OF = dict.fromkeys(GATED, " on exact rows of H")
 ROWS_OF.update(dict.fromkeys(TWO_H, " on exact rows of H_p, H_u"))
 SHORT = " needs truncation size T >= 6, got T = 5"
@@ -300,3 +304,19 @@ def test_production_modules_do_not_import_crosscheck(module):
         else:
             continue
         assert not any("crosscheck" in name for name in names), (module, ast.dump(node))
+
+
+# Generic matrix arithmetic (products, inverses, operators, w(H)) is the
+# oracles' layer: production modules hold the TruncMatrix type, nothing more.
+MATRIX_NAMES = {"orthogonal": {"TruncMatrix", "first_below_band"}}
+
+
+@pytest.mark.parametrize("module", ("linearize", "sequences", "orthogonal", "families",
+                                    "serialize", "cli"))
+def test_production_modules_do_no_generic_matrix_arithmetic(module):
+    path = pathlib.Path(__file__).parents[1] / "src" / "polyseq" / f"{module}.py"
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("matrix"):
+            names = {alias.name for alias in node.names}
+            assert names <= MATRIX_NAMES.get(module, {"TruncMatrix"}), (module, names)
+        assert not isinstance(node, ast.MatMult), (module, "@")

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -17,7 +18,11 @@ from polyseq import (
     lin_tensor_direct,
     realize_H,
     recurrence_poly_matrices,
+    required_size,
 )
+from polyseq import cli
+from polyseq.families import closed_d
+from polyseq.serialize import canonical_dumps, hspec_to_jsonable, matrix_to_jsonable, rat_to_str
 
 ALL_POINTS = [
     FamilyParams("chebyshev", F(2), F(0)),
@@ -191,3 +196,74 @@ def test_family_h_always_yields_valid_pair(params):
     pair = family_pair(params, 8)
     assert pair.A @ pair.P == identity(8)
     assert all(p.is_monic for p in pair.polys)
+
+
+# -- the scalar closed form that `family --pnh` and `--slice` read --------------------------
+
+@pytest.mark.parametrize("params", [
+    FamilyParams("chebyshev", F(-3, 7), F(5)),
+    FamilyParams("hermite", F(2, 5), F(-1)),
+    FamilyParams("charlier", F(-3, 7)),
+], ids=str)
+def test_closed_d_equals_the_kernel_at_n_64(params):
+    n_max = 64
+    tensor = lin_tensor_direct(realize_H(HSpec.from_family(params), required_size(n_max)), n_max)
+    for k, grid in enumerate(tensor.slices):
+        for n in range(n_max + 1):
+            for m in range(n, n_max + 1):
+                assert grid[n][m] == grid[m][n] == closed_d(params, n, m, k), (n, m, k)
+
+
+@pytest.mark.parametrize("params", ALL_POINTS + [
+    FamilyParams("chebyshev", F(-2, 3), F(1, 2)),
+    FamilyParams("hermite", F(-3), F(-5, 2)),
+    FamilyParams("charlier", F(-5, 2), F(4)),
+], ids=str)
+def test_pnh_oracle_rows_are_closed_d_from_t_1(params):
+    for n in (0, 1, 3, 6):
+        for size in range(1, n + 4):
+            rows = family_pnh_closed(params, n, size).rows
+            assert rows == tuple(tuple(closed_d(params, i, n, k) for k in range(size))
+                                 for i in range(size)), (n, size)
+
+
+def family_bytes(tmp_path, params, argv):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(hspec_to_jsonable(HSpec.from_family(params))))
+    out = tmp_path / "fam.json"
+    assert cli.main(["family", "--h-spec", str(spec), *argv, "--out", str(out)]) == 0
+    return out.read_text()
+
+
+@pytest.mark.parametrize("params", [
+    FamilyParams("chebyshev", F(1, 4), F(3)),
+    FamilyParams("chebyshev", F(-2, 3), F(1, 2)),
+    FamilyParams("hermite", F(1)),
+    FamilyParams("hermite", F(-3), F(-5, 2)),
+    FamilyParams("charlier", F(3, 7)),
+    FamilyParams("charlier", F(-5, 2)),
+], ids=str)
+def test_family_cli_bytes_equal_the_oracles(tmp_path, params):
+    # --pnh at T = n+2 and beyond, --slice with k up to past 2N, and --series
+    # against the operator sums and exponential series of crosscheck.
+    for n in (0, 1, 3, 6):
+        for size in (n + 2, n + 5):
+            want = {"pnh": matrix_to_jsonable(family_pnh_closed(params, n, size))}
+            got = family_bytes(tmp_path, params, ["--pnh", str(n), "--size", str(size)])
+            assert got == canonical_dumps(want), (n, size)
+    for n_max in (0, 1, 4):
+        for k in (0, 1, 2 * n_max, 2 * n_max + 1, 2 * n_max + 3):
+            grid = family_slice_closed(params, k, n_max)
+            want = {"slice": {"k": k, "matrix": [[rat_to_str(v) for v in row] for row in grid]}}
+            got = family_bytes(tmp_path, params, ["--slice", str(k), "--n-max", str(n_max)])
+            assert got == canonical_dumps(want), (k, n_max)
+    if params.name == "charlier":
+        return
+    for size in (2, 3, 9):
+        if params.name == "chebyshev":
+            want = {"series_p": matrix_to_jsonable(cheby_series_p(params, size))}
+        else:
+            want = {"series_p": matrix_to_jsonable(hermite_exp_p(params, size)),
+                    "series_p_inverse": matrix_to_jsonable(hermite_exp_p(params, size, True))}
+        got = family_bytes(tmp_path, params, ["--series", "--size", str(size)])
+        assert got == canonical_dumps(want), size
