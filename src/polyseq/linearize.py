@@ -29,11 +29,12 @@ With a second sequence u_k attached to K = H_u, the connection coefficients
 p_m = sum_k C[m][k] u_k are row 0 of p_m(K): the same kernel, with p's
 recurrence at K, from e_0.  Row 0 of K^j is row j of A_u, so C = P_p @ A_u,
 a test oracle.  C is unit lower triangular, and its two directions multiply
-to the identity on the kernel's integer rows.  Row 0 of (p_n p_m)(K) =
-p_n(K) p_m(K) gives the mixed coefficients, p_n * p_m = sum_k e(n,m,k) u_k,
-as e(n,m,.) = C[n] @ p_m(K): the kernel once more, from the row vector C[n].
+to the identity on the kernel's integer rows (sequences.inverse_defect, the
+pair's check).  Row 0 of (p_n p_m)(K) = p_n(K) p_m(K) gives the mixed
+coefficients, p_n * p_m = sum_k e(n,m,k) u_k, as e(n,m,.) = C[n] @ p_m(K):
+the kernel once more, from the row vector C[n].
 Every kernel here reads H alone (a pair stands for its H) and has one
-window gate, check_h_window.
+window gate, check_h_window, and a D from exactly the rows its runs read.
 """
 
 from __future__ import annotations
@@ -45,12 +46,14 @@ from math import lcm
 from .errors import PropertyViolationError, StructureError, WindowError
 from .matrix import TruncMatrix
 from .polynomial import Polynomial
-from .sequences import SequencePair, check_unit_hessenberg, integer_band, poly_rows
-
-
-def _h(h):
-    """The truncation H: a SequencePair stands for its H."""
-    return h.H if isinstance(h, SequencePair) else h
+from .sequences import (
+    SequencePair,
+    check_unit_hessenberg,
+    fraction_rows,
+    integer_band,
+    inverse_defect,
+    poly_rows,
+)
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,7 @@ def linearize_with_w(h, w: Polynomial, n: int) -> list:
     It reads rows 0..n+deg-1 of H (check_h_window: T >= n+deg+2)."""
     deg = max(w.degree, 0)
     (h,) = check_h_window(f"linearize_with_w(n={n}, deg={deg})", n + deg, h)
-    den, (g,) = integer_band(n + deg, h)
+    den, (g,) = integer_band((h, n + deg))
     runs = poly_rows([()] * deg, g, den, deg + 1, start=[0] * n + [1])
     wden = lcm(*(c.denominator for c in w.coeffs))
     acc = [0] * (n + deg + 1)
@@ -107,7 +110,7 @@ def check_h_window(what: str, rows: int, *hs) -> tuple:
     this order: truncations of size >= rows+2, of one size, certified on rows
     0..rows-1, and unit Hessenberg.  Returns the H's.
     """
-    hs = tuple(map(_h, hs))
+    hs = tuple(h.H if isinstance(h, SequencePair) else h for h in hs)
     size = min(h.size for h in hs)
     if size < rows + 2:
         raise WindowError(rows + 2, size, what)
@@ -136,7 +139,7 @@ def lin_tensor_direct(h: TruncMatrix | SequencePair, n_max: int) -> LinTensor:
     """
     last = 2 * n_max
     (h,) = check_h_window(f"lin_tensor_direct(n_max={n_max})", last, h)
-    den, (g,) = integer_band(last, h)
+    den, (g,) = integer_band((h, last))
     runs = [poly_rows(g, g, den, n_max + 1, start=[0] * n + [1]) for n in range(n_max + 1)]
     return _run_tensor("d", runs, den, lambda n, m: m)
 
@@ -183,12 +186,8 @@ def connection_matrix(p, u, m_max: int) -> list:
     H_u (check_h_window: T >= m_max+2), and nothing of P or A.
     """
     hp, hu = check_h_window(f"connection_matrix(m_max={m_max})", m_max, p, u)
-    den, (gp, gu) = integer_band(m_max, hp, hu)
-    zero, powers = Fraction(0), [den**m for m in range(m_max + 1)]
-    return [
-        [Fraction(v, powers[m]) if v else zero for v in row] + [zero] * (m_max - m)
-        for m, row in enumerate(poly_rows(gp, gu, den, m_max + 1))
-    ]
+    den, (gp, gu) = integer_band((hp, m_max), (hu, m_max))
+    return fraction_rows(poly_rows(gp, gu, den, m_max + 1), den, m_max + 1)
 
 
 def mixed_tensor(p, u, n_max: int) -> LinTensor:
@@ -197,13 +196,13 @@ def mixed_tensor(p, u, n_max: int) -> LinTensor:
     p and u are H_p and H_u (a SequencePair stands for its H).  One run of
     sequences.poly_rows gives q_C[n] = D^n * C[n], as in connection_matrix,
     and one run from each q_C[n] gives D^(n+m) * e(n,m,.) at step m.  They
-    read rows 0..2N-1 of H_u and 0..N-1 of H_p; the gate asks 2N certified
-    rows of both (T >= 2N+2).  _run_tensor checks symmetry (the runs from
-    C[n] and C[m]) and e(n,m,n+m) = 1 in integers; e(0,m,.) = C[m] and the
-    zeros past n+m hold by construction."""
+    read rows 0..2N-1 of H_u and 0..N-1 of H_p, which alone set D; the gate
+    asks 2N certified rows of both (T >= 2N+2).  _run_tensor checks symmetry
+    (the runs from C[n] and C[m]) and e(n,m,n+m) = 1 in integers; e(0,m,.) =
+    C[m] and the zeros past n+m hold by construction."""
     last = 2 * n_max
     hp, hu = check_h_window(f"mixed_tensor(n_max={n_max})", last, p, u)
-    den, (gp, gu) = integer_band(last, hp, hu)
+    den, (gp, gu) = integer_band((hp, n_max), (hu, last))
     q_c = poly_rows(gp, gu, den, n_max + 1)
     runs = [poly_rows(gp, gu, den, n_max + 1, start=row) for row in q_c]
     return _run_tensor("e", runs, den, lambda n, m: n + m)
@@ -213,22 +212,14 @@ def verify_inverse_connection(p, u, m_max: int):
     """Check the two connection directions multiply to the identity.
 
     p and u are H_p and H_u (a SequencePair stands for its H), gated as in
-    connection_matrix(p, u, m_max).  Two runs of sequences.poly_rows over one
-    D give q_pu[m] = D^m * C_pu[m] and q_up[k] = D^k * C_up[k], both unit
-    lower triangular, so C_pu @ C_up = I is checked on the triangle as
-    sum(q_pu[m][k] * q_up[k][n] * D^(m-k) for k = n..m) = D^(2m) * [m == n].
-    Returns (True, None) or (False, (m, n)) for the first violating entry,
-    row-major."""
+    connection_matrix(p, u, m_max).  Two runs of sequences.poly_rows give the
+    rows of C_pu and C_up over one D, which sequences.inverse_defect checks.
+    Returns (True, None) or (False, (m, n)) for the first violation."""
     hp, hu = check_h_window(f"connection_matrix(m_max={m_max})", m_max, p, u)
-    den, (gp, gu) = integer_band(m_max, hp, hu)
+    den, (gp, gu) = integer_band((hp, m_max), (hu, m_max))
     q_pu, q_up = poly_rows(gp, gu, den, m_max + 1), poly_rows(gu, gp, den, m_max + 1)
-    powers = [den**k for k in range(2 * m_max + 1)]
-    for m, row in enumerate(q_pu):
-        for n in range(m + 1):
-            acc = sum(row[k] * q_up[k][n] * powers[m - k] for k in range(n, m + 1))
-            if acc != (powers[2 * m] if m == n else 0):
-                return False, (m, n)
-    return True, None
+    where = inverse_defect(q_pu, q_up, den)
+    return where is None, where
 
 
 def tensors_agree(t1: LinTensor, t2: LinTensor):

@@ -21,7 +21,8 @@ squared norms.
 Banded generalization: if H is monic of index -1 with nonzero entries only on
 diagonals -1..band-2, then tau(p_n p_m) = 0 whenever m >= (band-2)*n + 1
 (e.g. band 4: m >= 2n+1; band 5: m >= 3n+1).  partial_orthogonality_check
-tests this claim entry by entry instead of assuming it.
+tests this claim entry by entry, as tau(p_n p_m) = d(n,m,0) (tau(p_k) = 0
+for k >= 1) read off the row kernel; orthogonality_table is verify's oracle.
 """
 
 from __future__ import annotations
@@ -37,12 +38,14 @@ from .errors import (
     WindowError,
     ZeroAlphaError,
 )
-from .linearize import LinTensor, required_size
+from .linearize import LinTensor, check_h_window, required_size
 from .matrix import TruncMatrix, first_below_band
 from .sequences import (
     HSpec,
     SequencePair,
     build_P_recurrence,
+    integer_band,
+    poly_rows,
     realize_H,
     tau_apply,
     tau_moments,
@@ -139,7 +142,8 @@ def partial_orthogonality_check(h: TruncMatrix, band: int, n_max: int):
 
     h must be monic of index -1 with no entries below diagonal band-2 (a
     narrower matrix passes; the claim is then weaker than what holds).
-    Returns (True, None) or (False, (n, m)) for the first nonzero value.
+    tau(p_n p_m) is entry 0 of the poly_rows run from e_n at step m; the runs
+    read rows 0..max_deg-1 of H.  Returns (True, None) or (False, (n, m)).
     """
     if band < 3:
         raise PolyseqError(f"band must be at least 3, got {band}")
@@ -152,13 +156,11 @@ def partial_orthogonality_check(h: TruncMatrix, band: int, n_max: int):
         )
     max_n = (n_max - 1) // spread if n_max >= 1 else 0
     max_deg = max_n + n_max
-    required = max_deg + 2
-    if h.size < required:
-        raise WindowError(required, h.size, f"partial_orthogonality_check(n_max={n_max})")
-    pair = build_P_recurrence(h)
-    moments = tau_moments(pair)
+    (h,) = check_h_window(f"partial_orthogonality_check(n_max={n_max})", max_deg, h)
+    den, (g,) = integer_band((h, max_deg))
     for n in range(max_n + 1):
+        run = poly_rows(g, g, den, n_max + 1, start=[0] * n + [1])
         for m in range(spread * n + 1, n_max + 1):
-            if tau_apply(moments, pair.polys[n] * pair.polys[m]) != 0:
+            if run[m][0]:
                 return False, (n, m)
     return True, None

@@ -12,12 +12,13 @@ obeying
     p_{k+1}(t) = t*p_k(t) - sum(H[k][j] * p_j(t) for j in range(k + 1)).
 
 Both are computed that way, in integers over D^j (D the lcm of the
-denominators in H's lower part), by poly_rows, the library's one row
+denominators in the rows 0..T-2 of H they read), by poly_rows, the one row
 kernel: row m of A is row 0 of H^m and row m of P is row 0 of p_m(X), and
-linearize reads d and C off the same kernel.  Each entry becomes a Fraction
-once, after A@P = I and A@H = X@A (which imply H@P = P@X) have been checked
-on the integer rows by code that shares nothing with the kernel: it scales
-H by D itself and demands that D clear every denominator it reads.
+linearize reads d and C off the same kernel.  The pair is the connection to
+the monomials, so A@P = I is connect --verify's check, inverse_defect.  Each
+entry becomes a Fraction once, after it and A@H = X@A (which imply H@P =
+P@X) hold on the integer rows by code that shares nothing with the kernel:
+it scales H by D itself and demands that D clear every denominator it reads.
 
 Rows of A are the coefficients of the inverse sequence u_k (the expansion of
 t^k in the p-basis), and column 0 of A lists the moments of the linear
@@ -172,38 +173,37 @@ class SequencePair:
 def build_P_recurrence(h: TruncMatrix) -> SequencePair:
     """The full sequence pair for a monic Hessenberg truncation, in integers.
 
-    With D the lcm of the denominators of H's entries on and below the
-    diagonal, the rows q_A[j] = D^j * row_j(A) and q_P[k] = D^k * p_k are
-    integer vectors, two runs of poly_rows (t^m at K = H, and p_m at K = X),
-    so the pair needs neither an inverse nor Fraction arithmetic.  The
-    identities A@P = I and A@H = X@A are checked on the integer rows, over
-    the windows and with the messages of crosscheck._verify_pair; failure is
-    a hard internal error.  Only then is each entry built, once, as
-    Fraction(q, D^j), and polys[k] reads row k of P.  Row j of A and of P
-    reads rows 0..j-1 of H, so both are certified on min(T, er(H) + 1) rows.
+    With D the lcm of the denominators of H's lower part on rows 0..T-2, the
+    rows q_A[j] = D^j * row_j(A) and q_P[k] = D^k * p_k are integer vectors,
+    two runs of poly_rows (t^m at K = H, and p_m at K = X), so the pair needs
+    neither an inverse nor Fraction arithmetic.  The identities A@P = I and
+    A@H = X@A are checked on the integer rows, over the windows and with the
+    messages of crosscheck._verify_pair; failure is a hard internal error.
+    Only then is each entry built, once, as Fraction(q, D^j) (fraction_rows),
+    and polys[k] reads row k of P.  Row j of A and of P reads rows 0..j-1 of
+    H, so both are certified on min(T, er(H) + 1) rows.
     """
     check_unit_hessenberg(h)
     t = h.size
     qa, qp, den = _integer_rows(h)
     _check_integer_pair(h, qa, qp, den)
-    powers = [den**k for k in range(t)]
     exact = min(t, h.exact_rows + 1)
     a, p = (
-        TruncMatrix._trusted(_over_powers(q, powers, t), index=0, exact_rows=exact)
+        TruncMatrix._trusted(tuple(map(tuple, fraction_rows(q, den, t))), 0, exact)
         for q in (qa, qp)
     )
     polys = tuple(Polynomial._trusted(row[: k + 1]) for k, row in enumerate(p.rows))
     return SequencePair(H=h, A=a, P=p, polys=polys)
 
 
-def integer_band(rows: int, *hs: TruncMatrix):
-    """(D, [G, ...]): each H's lower part on rows 0..rows-1, in ints over one D.
+def integer_band(*bands):
+    """(D, [G, ...]): for each band (H, r), rows 0..r-1 of H's lower part in ints.
 
     G[i] lists (j, D * H[i][j]) for the nonzero entries j <= i of row i; the
     unit superdiagonal is left implied.  D is the lcm of the denominators of
     the entries read, in every H.
     """
-    read = [[h.rows[i][: i + 1] for i in range(rows)] for h in hs]
+    read = [[h.rows[i][: i + 1] for i in range(rows)] for h, rows in bands]
     den = lcm(*(v.denominator for r in read for row in r for v in row))
     return den, [
         [[(j, v.numerator * (den // v.denominator)) for j, v in enumerate(row) if v] for row in r]
@@ -242,46 +242,52 @@ def poly_rows(gp, gk, den: int, count: int, start=(1,)) -> list:
 
 def _integer_rows(h: TruncMatrix):
     """(q_A, q_P, D): rows j of A and of P times D^j, as lists of ints over
-    columns 0..j, with D the lcm of the denominators of H's lower part."""
+    columns 0..j, with D from rows 0..T-2 of H's lower part, which they read."""
     t = h.size
-    den, (g,) = integer_band(t, h)
+    den, (g,) = integer_band((h, t - 1))
     x = [()] * t
     return poly_rows(x, g, den, t), poly_rows(g, x, den, t), den
 
 
-def _over_powers(q, powers, t) -> tuple:
-    """Rows Fraction(q[j][k], D^j), padded with zeros to t columns."""
-    zero = Fraction(0)
-    return tuple(
-        tuple(Fraction(v, powers[j]) if v else zero for v in row) + (zero,) * (t - j - 1)
+def fraction_rows(q, den: int, width: int) -> list:
+    """Rows Fraction(q[j][k], D^j), padded with zeros to width columns."""
+    zero, powers = Fraction(0), [den**j for j in range(len(q))]
+    return [
+        [Fraction(v, powers[j]) if v else zero for v in row] + [zero] * (width - len(row))
         for j, row in enumerate(q)
-    )
+    ]
+
+
+def inverse_defect(q1, q2, den: int):
+    """First (i, k), row-major, where sum(q1[i][j] * D^(i-j) * q2[j][k]) !=
+    D^(2i) * [i == k], or None: M1 @ M2 = I for unit lower triangular M with
+    rows q[j] = D^j * M[j], by dot products with columns, apart from poly_rows."""
+    t = len(q2)
+    powers = [den**e for e in range(2 * len(q1) - 1)]
+    cols = [[q2[j][k] for j in range(k, t)] for k in range(t)]  # from row k down
+    for i, row in enumerate(q1):
+        scaled = [v * powers[i - j] for j, v in enumerate(row)]
+        for k in range(i + 1):
+            if sum(map(mul, scaled[k:], cols[k])) != (powers[2 * i] if k == i else 0):
+                return i, k
+    return None
 
 
 def _check_integer_pair(h: TruncMatrix, qa, qp, den: int) -> None:
-    # crosscheck._verify_pair on A = q_A / D^j and P = q_P / D^j by rows, in
-    # integers, with its windows, its order and its messages.  Row i of A@P
-    # times D^(2i) is sum(q_A[i][j] * D^(i-j) * q_P[j]); row i of A@H times
-    # D^(i+1) is q_A[i] @ (D*H), where X@A has q_A[i+1].  Entries are dot
-    # products with columns, which share no loop with the row recurrences,
-    # and D*H is scaled here from h.rows, apart from the kernel's integer_band.
+    # crosscheck._verify_pair on A = q_A / D^j and P = q_P / D^j, in integers,
+    # with its windows, order and messages.  Row i of A@H times D^(i+1) is
+    # q_A[i] @ (D*H) (X@A has q_A[i+1]), with D*H scaled here on rows 0..T-2.
     t = h.size
-    powers = [den**k for k in range(2 * t - 1)]
-    pcols = [[qp[j][k] for j in range(k, t)] for k in range(t)]  # from row k down
-    for i in range(t):
-        arow = [a * powers[i - j] for j, a in enumerate(qa[i])]
-        for k in range(i + 1):
-            if sum(map(mul, arow[k:], pcols[k])) != (powers[2 * i] if k == i else 0):
-                raise PropertyViolationError("A @ P differs from the identity")
+    if inverse_defect(qa, qp, den) is not None:
+        raise PropertyViolationError("A @ P differs from the identity")
     gcols = [[] for _ in range(t)]  # gcols[j]: the (i, D*H[i][j]) with H[i][j] != 0, i rising
-    for i, row in enumerate(h.rows):
+    for i, row in enumerate(h.rows[: t - 1]):
         for j, v in enumerate(row[: i + 1]):
             if v:
                 if den % v.denominator:
                     raise PropertyViolationError(f"D = {den} does not clear H[{i}][{j}] = {v}")
                 gcols[j].append((i, v.numerator * (den // v.denominator)))
-        if i + 1 < t:
-            gcols[i + 1].append((i, den))
+        gcols[i + 1].append((i, den))
     # A@H and X@A are both certified on min(er(H), T-1) rows.  H@P = P@X is
     # not checked: on those rows A@P = I and A@H = X@A give H[i] =
     # sum(P[i][j] * A[j+1]), so (H@P)[i] = (P@X)[i].
@@ -291,7 +297,7 @@ def _check_integer_pair(h: TruncMatrix, qa, qp, den: int) -> None:
             if sum(arow[j] * c for j, c in gcols[k] if j <= i) != shifted[k]:
                 raise PropertyViolationError("A @ H and X @ A disagree on the exact window")
     for k in range(t):
-        if qp[k][k] != powers[k]:
+        if qp[k][k] != den**k:
             raise PropertyViolationError(f"p_{k} is not monic of degree {k}")
 
 

@@ -634,12 +634,12 @@ def test_pair_check_scales_h_apart_from_the_kernel(monkeypatch):
 
 
 def test_pair_check_demands_a_d_that_clears_h():
-    # Rows of A and P read rows 0..T-2 of H, so a last row with a new
-    # denominator leaves them as they are; the check scales all of h.rows.
+    # The rows are built from one H and checked against another with a new
+    # denominator in row T-2, which the check scales itself.
     h = realize_H(HSpec.from_family(FamilyParams("charlier", F(3, 7))), 8)
     qa, qp, den = _integer_rows(h)
-    with pytest.raises(PropertyViolationError, match=r"^D = 7 does not clear H\[7\]\[0\] = 1/11$"):
-        _check_integer_pair(with_entry(h, 7, 0, F(1, 11)), qa, qp, den)
+    with pytest.raises(PropertyViolationError, match=r"^D = 7 does not clear H\[6\]\[0\] = 1/11$"):
+        _check_integer_pair(with_entry(h, 6, 0, F(1, 11)), qa, qp, den)
 
 
 # -- H's certificate ----------------------------------------------------------------
