@@ -138,15 +138,10 @@ def _cmd_linearize(args) -> int:
     pair = build_P_recurrence(h) if args.method == "all" else None
     direct = lin_tensor_direct(h, args.n_max)
     if pair is not None:
-        from .crosscheck import lin_tensor_oracle, lin_tensor_recurrence
+        from .verify import route_tensors
 
-        others = {
-            "recurrence": LinTensor.from_slices(
-                args.n_max, lambda k: lin_tensor_recurrence(h, args.n_max, k)
-            ),
-            "oracle": lin_tensor_oracle(pair, args.n_max),
-        }
-        for name, tensor in others.items():
+        # every route is built before any comparison
+        for name, tensor in list(route_tensors(h, pair, args.n_max)):
             where = tensors_agree(direct, tensor)
             if where is not None:
                 raise MismatchError(where, f"direct vs {name}")

@@ -137,17 +137,18 @@ def support_check(tensor: LinTensor):
     return True, None
 
 
-def partial_orthogonality_check(h: TruncMatrix, band: int, n_max: int):
+def partial_orthogonality_check(h: TruncMatrix | SequencePair, band: int, n_max: int):
     """Test tau(p_n p_m) = 0 for m >= (band-2)*n + 1, n, m <= n_max.
 
-    h must be monic of index -1 with no entries below diagonal band-2 (a
-    narrower matrix passes; the claim is then weaker than what holds).
+    h (or a SequencePair's H) must be monic of index -1 with no entries
+    below diagonal band-2 (a narrower matrix passes; the claim is weaker).
     tau(p_n p_m) is entry 0 of the poly_rows run from e_n at step m; the runs
     read rows 0..max_deg-1 of H.  Returns (True, None) or (False, (n, m)).
     """
     if band < 3:
         raise PolyseqError(f"band must be at least 3, got {band}")
     spread = band - 2
+    h = h.H if isinstance(h, SequencePair) else h
     hit = first_below_band(h, spread)
     if hit is not None:
         raise StructureError(

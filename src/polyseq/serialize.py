@@ -1,4 +1,4 @@
-"""Canonical JSON serialization.
+"""Canonical JSON: reads H spec files and writes the output formats.
 
 All scalars travel as lowest-terms rational strings ("p" or "p/q", q > 0) —
 never floats — and every emitted document uses sorted keys and fixed
@@ -11,13 +11,13 @@ import contextlib
 import json
 import os
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import SchemaError
 from .families import FamilyParams
 from .linearize import LinTensor
 from .matrix import TruncMatrix
-from .polynomial import Polynomial
 from .sequences import HSpec
 
 _RAT_RE = re.compile(r"^-?\d+(/-?\d+)?$")
@@ -28,7 +28,12 @@ def rat_to_str(v) -> str:
     # (bool, str, float, subclasses) is read as a Fraction first.
     if type(v) is not Fraction and type(v) is not int:
         v = Fraction(v)
-    return str(v)
+    try:
+        return str(v)
+    except ValueError:
+        # past sys.get_int_max_str_digits(); Decimal prints any int exactly
+        num = str(Decimal(v.numerator))
+        return num if v.denominator == 1 else f"{num}/{Decimal(v.denominator)}"
 
 
 def rat_from_str(s) -> Fraction:
@@ -76,36 +81,6 @@ def matrix_to_jsonable(m: TruncMatrix) -> dict:
         "index": m.index,
         "rows": [[rat_to_str(v) for v in row] for row in m.rows],
     }
-
-
-def matrix_from_jsonable(obj) -> TruncMatrix:
-    _require(isinstance(obj, dict), "matrix must be an object")
-    _require(
-        set(obj) == {"size", "index", "rows"},
-        f"matrix needs exactly keys size/index/rows, got {sorted(obj)}",
-    )
-    size, index = obj["size"], obj["index"]
-    _require(isinstance(size, int) and size >= 1, "size must be a positive integer")
-    _require(isinstance(index, int), "index must be an integer")
-    rows = _rat_grid(obj["rows"], "matrix rows")
-    _require(
-        len(rows) == size and all(len(r) == size for r in rows),
-        f"rows must form a {size}x{size} block",
-    )
-    try:
-        return TruncMatrix(rows, index=index, exact_rows=size)
-    except Exception as exc:
-        raise SchemaError(f"inconsistent matrix payload: {exc}") from None
-
-
-# -- polynomials -------------------------------------------------------------
-
-def polynomial_to_jsonable(p: Polynomial) -> dict:
-    return {"coeffs": [rat_to_str(c) for c in p.coeffs]}
-
-def polynomial_from_jsonable(obj) -> Polynomial:
-    _require(isinstance(obj, dict) and set(obj) == {"coeffs"}, "polynomial needs key coeffs")
-    return Polynomial(_rat_list(obj["coeffs"], "coeffs"))
 
 
 # -- H specs -----------------------------------------------------------------
@@ -166,41 +141,11 @@ def tensor_to_jsonable(t: LinTensor) -> dict:
     }
 
 
-def tensor_from_jsonable(obj) -> LinTensor:
-    _require(isinstance(obj, dict) and set(obj) == {"n_max", "slices"}, "tensor needs n_max and slices")
-    n_max = obj["n_max"]
-    _require(isinstance(n_max, int) and n_max >= 0, "n_max must be a nonnegative integer")
-    slices_in = obj["slices"]
-    _require(isinstance(slices_in, list) and len(slices_in) == 2 * n_max + 1,
-             f"tensor needs {2 * n_max + 1} slices")
-    slices = []
-    for k, entry in enumerate(slices_in):
-        _require(isinstance(entry, dict) and set(entry) == {"k", "matrix"},
-                 "each slice needs keys k and matrix")
-        _require(entry["k"] == k, f"slice {k} is labeled {entry['k']}")
-        grid = _rat_grid(entry["matrix"], "slice matrix")
-        _require(len(grid) == n_max + 1 and all(len(r) == n_max + 1 for r in grid),
-                 f"slice {k} must be {n_max + 1} square")
-        slices.append(tuple(tuple(v for v in row) for row in grid))
-    return LinTensor(n_max=n_max, k_max=2 * n_max, slices=tuple(slices))
-
-
 def connection_to_jsonable(m_max: int, matrix) -> dict:
     return {
         "m_max": m_max,
         "matrix": [[rat_to_str(v) for v in row] for row in matrix],
     }
-
-
-def connection_from_jsonable(obj):
-    _require(isinstance(obj, dict) and set(obj) == {"m_max", "matrix"},
-             "connection needs m_max and matrix")
-    m_max = obj["m_max"]
-    _require(isinstance(m_max, int) and m_max >= 0, "m_max must be a nonnegative integer")
-    grid = _rat_grid(obj["matrix"], "connection matrix")
-    _require(len(grid) == m_max + 1 and all(len(r) == m_max + 1 for r in grid),
-             f"connection matrix must be {m_max + 1} square")
-    return m_max, grid
 
 
 # -- files --------------------------------------------------------------------
@@ -209,7 +154,8 @@ def read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad syntax, bad UTF-8, an integer past the digit limit, deep nesting
         raise SchemaError(f"{path}: invalid JSON: {exc}") from None
 
 

@@ -76,15 +76,11 @@ def run_suite(spec: HSpec, n_max: int, size: int | None = None) -> list:
     record("direct-tensor-properties", failure is None, failure or "validated on construction")
 
     if direct is not None:
-        rec_tensor = LinTensor.from_slices(n_max, lambda k: lin_tensor_recurrence(h, n_max, k))
-        where = tensors_agree(direct, rec_tensor)
-        record("direct-vs-recurrence", where is None, f"first difference at {where}")
+        for name, tensor in route_tensors(h, pair, n_max):
+            where = tensors_agree(direct, tensor)
+            record(f"direct-vs-{name}", where is None, f"first difference at {where}")
 
     if direct is not None and pair is not None:
-        oracle_tensor = lin_tensor_oracle(pair, n_max)
-        where = tensors_agree(direct, oracle_tensor)
-        record("direct-vs-oracle", where is None, f"first difference at {where}")
-
         ok = True
         for n in range(n_max + 1):
             for m in range(n_max + 1):
@@ -135,6 +131,15 @@ def run_suite(spec: HSpec, n_max: int, size: int | None = None) -> list:
         record("support-bound", ok, f"violation at {where}" if not ok else "")
 
     return results
+
+
+def route_tensors(h, pair, n_max: int):
+    """(name, tensor) of each alternate route to d, for verify and --method all."""
+    yield "recurrence", LinTensor.from_slices(
+        n_max, lambda k: lin_tensor_recurrence(h, n_max, k)
+    )
+    if pair is not None:
+        yield "oracle", lin_tensor_oracle(pair, n_max)
 
 
 def _attempt(build):

@@ -1,11 +1,12 @@
 import hashlib
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from polyseq import cli
-from polyseq.serialize import read_json
+from polyseq import build_P_recurrence, cli, lin_tensor_direct, realize_H, tau_moments
+from polyseq.serialize import hspec_from_jsonable, read_json
 
 
 def write_spec(tmp_path, name, obj):
@@ -559,3 +560,66 @@ def test_connect_verify_needs_only_the_rows_of_its_window(tmp_path, herm_spec):
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
     assert read_json(str(tmp_path / "conn7.json"))["inverse_check"] is True
+
+
+# -- spec files that do not decode; exact results past Python's digit limit ------------
+
+UNDECODABLE = {
+    "invalid-utf8": b'{"type": "charlier", "a": "\xff1"}',
+    "int-over-the-digit-limit": b'{"type": "charlier", "a": ' + b"1" * 4400 + b"}",
+    "nested-past-the-recursion-limit": b"[" * 100000 + b"]" * 100000,
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["linearize", "--h-spec", "{spec}", "--n-max", "2", "--out", "{out}"],
+    ["build", "--h-spec", "{spec}", "--size", "4", "--out", "{out}"],
+    ["connect", "--p-spec", "{ok}", "--u-spec", "{spec}", "--m-max", "2", "--out", "{out}"],
+    ["family", "--h-spec", "{spec}", "--pnh", "2", "--out", "{out}"],
+    ["verify", "--h-spec", "{spec}", "--n-max", "2"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("case", sorted(UNDECODABLE))
+def test_spec_files_that_fail_to_decode_exit_2(tmp_path, cheb_spec, capsys, argv, case):
+    spec, out = tmp_path / "bad.json", tmp_path / "out.json"
+    spec.write_bytes(UNDECODABLE[case])
+    argv = [a.format(spec=spec, ok=cheb_spec, out=out) for a in argv]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {spec}: invalid JSON: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_exact_results_past_the_digit_limit_are_written(tmp_path):
+    # denominators near 10^500 give entries of d, P and A with more digits
+    # than str(int) prints by default
+    rows = [[f"{1 + (j + k) % 5}/{10**500 + 1 + 3 * k + j}" for j in range(k + 1)]
+            for k in range(8)]
+    spec = write_spec(tmp_path, "big.json", {"type": "rows", "rows": rows})
+    limit = sys.get_int_max_str_digits()
+    lin, csv, pair = (str(tmp_path / name) for name in ("lin.json", "lin.csv", "pair.json"))
+    assert cli.main(["linearize", "--h-spec", spec, "--n-max", "3", "--out", lin]) == 0
+    assert cli.main(["linearize", "--h-spec", spec, "--n-max", "3", "--format", "csv",
+                     "--out", csv]) == 0
+    assert cli.main(["build", "--h-spec", spec, "--size", "5", "--out", pair]) == 0
+    assert sys.get_int_max_str_digits() == limit
+
+    h_spec = hspec_from_jsonable({"type": "rows", "rows": rows})
+    tensor = lin_tensor_direct(realize_H(h_spec, 8), 3)
+    kernel_pair = build_P_recurrence(realize_H(h_spec, 5))
+    sys.set_int_max_str_digits(0)
+    try:
+        blob = read_json(lin)
+        assert [[[F(v) for v in row] for row in s["matrix"]] for s in blob["slices"]] == [
+            [list(row) for row in grid] for grid in tensor.slices]
+        for k, grid in enumerate(tensor.slices):
+            lines = (tmp_path / f"lin_k{k}.csv").read_text().splitlines()[1:]
+            assert [F(line.split(",")[2]) for line in lines] == [v for row in grid for v in row]
+        blob = read_json(pair)
+        for name in ("H", "A", "P"):
+            kernel = getattr(kernel_pair, name).rows
+            assert [[F(v) for v in row] for row in blob[name]["rows"]] == [list(r) for r in kernel]
+        assert [F(v) for v in blob["moments"]] == tau_moments(kernel_pair)
+        assert max(len(str(v)) for grid in tensor.slices for row in grid for v in row) > limit
+        assert max(len(str(v)) for row in kernel_pair.A.rows for v in row) > limit
+    finally:
+        sys.set_int_max_str_digits(limit)

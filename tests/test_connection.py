@@ -290,7 +290,8 @@ def test_connection_past_64_bits(rng):
     assert max(v.denominator for row in conn for v in row) > 2**64
 
 
-PRODUCTION = ("linearize", "sequences", "orthogonal", "matrix", "families", "serialize")
+PRODUCTION = ("linearize", "sequences", "orthogonal", "matrix", "families", "serialize",
+              "cli")
 
 
 @pytest.mark.parametrize("module", PRODUCTION)

@@ -18,6 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from polyseq import (
     FamilyParams,
+    PolyseqError,
+    StructureError,
     HSpec,
     Polynomial,
     TruncMatrix,
@@ -181,6 +183,24 @@ def test_partial_orthogonality_builds_no_pair_and_agrees_with_the_moment_route(m
     monkeypatch.setattr(Polynomial, "__mul__", forbidden)
     for h, band, n_max, expected in cases:
         assert partial_orthogonality_check(h, band, n_max) == expected == (True, None)
+
+
+def test_partial_orthogonality_takes_a_pair_for_its_h():
+    def outcome(h, band, n_max):
+        try:
+            return partial_orthogonality_check(h, band, n_max)
+        except PolyseqError as exc:
+            return type(exc), str(exc)
+
+    refused = set()
+    for h, band, n_max in banded_cases():
+        pair = build_P_recurrence(h)
+        # the claimed band, one narrower (refused when H is wider) and the band refusal
+        for claim in (band, band - 1, 2):
+            got = outcome(h, claim, n_max)
+            assert outcome(pair, claim, n_max) == got
+            refused.add(got[0])
+    assert refused == {True, StructureError, PolyseqError}
 
 
 @given(st.sampled_from((3, 4, 5)), st.integers(1, 8),

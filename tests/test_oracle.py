@@ -9,9 +9,12 @@ from polyseq import (
     WindowError,
     build_P_recurrence,
     expand_in_basis,
+    lin_tensor_direct,
     lin_tensor_oracle,
+    lin_tensor_recurrence,
     poly_mul,
     realize_H,
+    verify,
 )
 from tests.conftest import rand_hessenberg_rows
 
@@ -99,3 +102,24 @@ def test_oracle_never_reads_h(hermite_pair):
     for k in range(7):
         rebuilt = rebuilt + hermite_pair.polys[k].scale(tensor.value(3, 3, k))
     assert rebuilt == poly_mul(hermite_pair.polys[3], hermite_pair.polys[3])
+
+
+def test_route_tensors_yields_the_recurrence_then_the_oracle(hermite_pair, monkeypatch):
+    h, n_max = hermite_pair.H, 3
+    direct = lin_tensor_direct(h, n_max)
+    assert list(verify.route_tensors(h, hermite_pair, n_max)) == [
+        ("recurrence", direct), ("oracle", direct)]
+    assert list(verify.route_tensors(h, None, n_max)) == [("recurrence", direct)]
+
+    # each name is paired with its own route
+    slices, oracle = [], object()
+
+    def recurrence(h_, n, k):
+        slices.append(k)
+        return lin_tensor_recurrence(h_, n, k)
+
+    monkeypatch.setattr(verify, "lin_tensor_recurrence", recurrence)
+    monkeypatch.setattr(verify, "lin_tensor_oracle", lambda pair, n: oracle)
+    routes = list(verify.route_tensors(h, hermite_pair, n_max))
+    assert routes == [("recurrence", direct), ("oracle", oracle)]
+    assert slices == list(range(2 * n_max + 1))

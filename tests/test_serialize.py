@@ -3,30 +3,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from polyseq import (
-    FamilyParams,
-    HSpec,
-    Polynomial,
-    SchemaError,
-    build_P_recurrence,
-    lin_tensor_direct,
-    make_operator,
-    realize_H,
-)
+from polyseq import FamilyParams, HSpec, SchemaError, cli, lin_tensor_direct
 from polyseq.serialize import (
     canonical_dumps,
-    connection_from_jsonable,
-    connection_to_jsonable,
     hspec_from_jsonable,
     hspec_to_jsonable,
-    matrix_from_jsonable,
-    matrix_to_jsonable,
-    polynomial_from_jsonable,
-    polynomial_to_jsonable,
     rat_from_str,
     rat_to_str,
     read_json,
-    tensor_from_jsonable,
     tensor_to_jsonable,
     write_json,
 )
@@ -54,39 +38,6 @@ def test_canonical_dumps_stable():
     a = canonical_dumps({"b": 1, "a": [2, 3]})
     assert a == '{"a":[2,3],"b":1}\n'
     assert canonical_dumps({"a": [2, 3], "b": 1}) == a
-
-
-def test_matrix_round_trip():
-    m = make_operator("D", 4)
-    blob = matrix_to_jsonable(m)
-    assert blob["size"] == 4
-    assert blob["index"] == 1
-    back = matrix_from_jsonable(blob)
-    assert back == m
-    assert back.index == 1
-
-
-def test_matrix_schema_errors():
-    with pytest.raises(SchemaError):
-        matrix_from_jsonable({"size": 2, "rows": [["1", "0"], ["0", "1"]]})
-    with pytest.raises(SchemaError):
-        matrix_from_jsonable({"size": 2, "index": 0, "rows": [["1"], ["0"]]})
-    with pytest.raises(SchemaError):
-        matrix_from_jsonable(
-            {"size": 2, "index": 0, "rows": [["1", "0"], ["0", "1"]], "extra": 1})
-
-
-def test_matrix_fractions_survive_round_trip():
-    spec = HSpec.from_family(FamilyParams("chebyshev", F(1, 4), F(0)))
-    p = build_P_recurrence(realize_H(spec, 6)).P
-    assert matrix_from_jsonable(matrix_to_jsonable(p)) == p
-
-
-def test_polynomial_round_trip():
-    p = Polynomial((F(1, 3), 0, 2))
-    blob = polynomial_to_jsonable(p)
-    assert blob == {"coeffs": ["1/3", "0", "2"]}
-    assert polynomial_from_jsonable(blob) == p
 
 
 def test_hspec_round_trips():
@@ -123,31 +74,6 @@ def test_hspec_zero_a_is_schema_error():
         hspec_from_jsonable({"type": "chebyshev", "a": "0"})
 
 
-def test_tensor_round_trip(hermite_pair):
-    tensor = lin_tensor_direct(hermite_pair, 3)
-    blob = tensor_to_jsonable(tensor)
-    assert blob["n_max"] == 3
-    assert len(blob["slices"]) == 7
-    assert [s["k"] for s in blob["slices"]] == list(range(7))
-    assert tensor_from_jsonable(blob) == tensor
-
-
-def test_tensor_slice_count_checked(hermite_pair):
-    blob = tensor_to_jsonable(lin_tensor_direct(hermite_pair, 2))
-    blob["slices"] = blob["slices"][:-1]
-    with pytest.raises(SchemaError):
-        tensor_from_jsonable(blob)
-
-
-def test_connection_round_trip():
-    grid = [[F(1), F(0)], [F(1, 2), F(1)]]
-    blob = connection_to_jsonable(1, grid)
-    assert blob["m_max"] == 1
-    m_max, back = connection_from_jsonable(blob)
-    assert m_max == 1
-    assert back == [[F(1), F(0)], [F(1, 2), F(1)]]
-
-
 def test_write_json_is_canonical(tmp_path):
     path = tmp_path / "out.json"
     write_json(str(path), {"b": "2", "a": "1/2"})
@@ -156,12 +82,23 @@ def test_write_json_is_canonical(tmp_path):
     assert read_json(str(path)) == {"a": "1/2", "b": "2"}
 
 
-def test_write_then_read_byte_identical(tmp_path, hermite_pair):
-    tensor = lin_tensor_direct(hermite_pair, 3)
-    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    write_json(str(p1), tensor_to_jsonable(tensor))
-    write_json(str(p2), tensor_to_jsonable(tensor_from_jsonable(read_json(str(p1)))))
-    assert p1.read_bytes() == p2.read_bytes()
+def test_write_then_read_byte_identical(tmp_path):
+    # the format's promise: parse + re-serialize gives each output's bytes back
+    cheb, rows = tmp_path / "cheb.json", tmp_path / "rows.json"
+    cheb.write_text(json.dumps({"type": "chebyshev", "a": "1/4", "b": "2/3"}))
+    rows.write_text(json.dumps({"type": "rows", "rows": [
+        [f"{(3 * k + j) % 5 - 2}/{1 + (k + j) % 4}" for j in range(k + 1)] for k in range(10)]}))
+    for argv in (
+        ["linearize", "--h-spec", cheb, "--n-max", "3"],
+        ["build", "--h-spec", rows, "--size", "6"],
+        ["connect", "--p-spec", rows, "--u-spec", cheb, "--m-max", "4", "--mixed", "2",
+         "--verify"],
+        ["family", "--h-spec", cheb, "--pnh", "3", "--slice", "4", "--series", "--size", "6"],
+    ):
+        out = tmp_path / f"{argv[0]}.json"
+        assert cli.main([str(a) for a in argv] + ["--out", str(out)]) == 0, argv
+        text = out.read_text()
+        assert "/" in text and canonical_dumps(json.loads(text)) == text
 
 
 def test_read_json_bad_syntax(tmp_path):
